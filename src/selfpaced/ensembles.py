@@ -376,6 +376,11 @@ def model_to_doc(model: EnsembleModel) -> dict:
 def model_from_doc(doc: dict) -> EnsembleModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not an ensemble model document: format={doc.get('format')!r}")
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(
+            f"unsupported model document version {doc.get('version')!r}; "
+            f"this release reads version {MODEL_VERSION}"
+        )
     members = [learner_from_doc(member) for member in doc["members"]]
     return EnsembleModel(members, doc["method"], doc.get("config"), doc.get("seed"))
 

@@ -25,12 +25,35 @@ __all__ = [
 _PERFECT_ROUND_ODDS = 1e10
 
 
+# A tree node document holding any of these keys is a split node.
+_SPLIT_KEYS = frozenset(("feature", "threshold", "left", "right"))
+
+
+def _doc_field(doc, key, what, convert=None):
+    """doc[key], passed through `convert`; a missing or bad field raises ValueError."""
+    try:
+        value = doc[key]
+        return value if convert is None else convert(value)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"malformed {what} document: missing or invalid {key!r}") from err
+
+
+def _check_finite(X):
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(
+            f"feature values must be finite: row {row}, column {col} holds {X[row, col]}"
+        )
+
+
 def _check_training_inputs(X, y, sample_weight):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be a 2-D matrix, got ndim={X.ndim}")
     if X.shape[0] == 0:
         raise ValueError("training data must be nonempty")
+    _check_finite(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
@@ -61,46 +84,8 @@ def _check_predict_input(X, n_features, fitted):
         raise ValueError(f"expected a feature row or matrix, got ndim={X.ndim}")
     if X.shape[1] != n_features:
         raise ValueError(f"model expects {n_features} features, got {X.shape[1]}")
+    _check_finite(X)
     return X, single
-
-
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "probability", "count")
-
-    def __init__(self, feature=None, threshold=None, left=None, right=None,
-                 probability=0.0, count=0):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.probability = probability
-        self.count = count
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
-
-
-def _node_to_doc(node):
-    if node.is_leaf:
-        return {"probability": node.probability, "count": node.count}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
-    }
-
-
-def _node_from_doc(doc):
-    if "feature" in doc:
-        return _Node(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=_node_from_doc(doc["left"]),
-            right=_node_from_doc(doc["right"]),
-        )
-    return _Node(probability=float(doc["probability"]), count=int(doc["count"]))
 
 
 class DecisionTreeClassifier:
@@ -111,6 +96,14 @@ class DecisionTreeClassifier:
     min_impurity_decrease; ties go to the lowest feature index, then the
     lowest threshold, so training is fully deterministic. Leaves predict the
     weighted positive fraction of their training samples.
+
+    A fitted tree is held as parallel per-node lists in preorder, the order
+    of its JSON document: `feature_` and `threshold_` (-1 and 0.0 at a leaf),
+    `left_` and `right_` (child node ids, -1 at a leaf; a split node's left
+    child is the next node), and `probability_` and `count_` (a leaf's
+    weighted positive fraction and training row count, 0.0 and 0 at a split
+    node). They hold what the document holds, no more, so a tree read back
+    from its document has the lists it was fitted with.
     """
 
     def __init__(self, max_depth=10, min_samples_split=2, min_impurity_decrease=0.0):
@@ -127,7 +120,8 @@ class DecisionTreeClassifier:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.tree_ = None
+        self.feature_ = self.threshold_ = self.left_ = self.right_ = None
+        self.probability_ = self.count_ = None
         self.n_features_in_ = None
 
     @staticmethod
@@ -174,52 +168,96 @@ class DecisionTreeClassifier:
                 best = (f, (sv[pos] + sv[pos + 1]) / 2.0)
         return None if best is None else (best_gain, best[0], best[1])
 
-    def _build(self, X, y, w, rows, depth):
-        w_rows = w[rows]
-        w_total = w_rows.sum()
-        w_pos = w_rows[y[rows] == 1].sum()
-        node = _Node(probability=float(w_pos / w_total), count=int(rows.size))
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or rows.size < self.min_samples_split
-            or w_pos == 0.0
-            or w_pos == w_total
-        ):
-            return node
-        found = self._best_split(X, y, w, rows, self._gini(w_pos, w_total))
-        if found is None:
-            return node
-        _, feature, threshold = found
-        goes_left = X[rows, feature] <= threshold
-        node.feature = feature
-        node.threshold = float(threshold)
-        node.left = self._build(X, y, w, rows[goes_left], depth + 1)
-        node.right = self._build(X, y, w, rows[~goes_left], depth + 1)
+    def _reset_nodes(self):
+        self.feature_, self.threshold_, self.left_, self.right_ = [], [], [], []
+        self.probability_, self.count_ = [], []
+
+    def _add_node(self, feature, threshold, probability, count, right_of):
+        """Append a node in preorder and return its id.
+
+        A split node's left child is the node after it, so only a right child
+        has to be linked back to its parent (`right_of`, or -1).
+        """
+        node = len(self.feature_)
+        self.feature_.append(feature)
+        self.threshold_.append(threshold)
+        self.left_.append(-1 if feature < 0 else node + 1)
+        self.right_.append(-1)
+        self.probability_.append(probability)
+        self.count_.append(count)
+        if right_of >= 0:
+            self.right_[right_of] = node
         return node
 
     def fit(self, X, y, sample_weight=None):
         X, y, w = _check_training_inputs(X, y, sample_weight)
         self.n_features_in_ = X.shape[1]
-        self.tree_ = self._build(X, y, w, np.arange(X.shape[0]), 0)
+        self._reset_nodes()
+        # Depth-first worklist of (rows, depth, parent id if a right child);
+        # popping the left child first lays the nodes out in preorder.
+        work = [(np.arange(X.shape[0]), 0, -1)]
+        while work:
+            rows, depth, right_of = work.pop()
+            w_rows = w[rows]
+            w_total = w_rows.sum()
+            w_pos = w_rows[y[rows] == 1].sum()
+            stop = (
+                (self.max_depth is not None and depth >= self.max_depth)
+                or rows.size < self.min_samples_split
+                or w_pos == 0.0
+                or w_pos == w_total
+            )
+            found = None if stop else self._best_split(X, y, w, rows, self._gini(w_pos, w_total))
+            if found is None:
+                self._add_node(-1, 0.0, float(w_pos / w_total), int(rows.size), right_of)
+                continue
+            _, feature, threshold = found
+            node = self._add_node(feature, float(threshold), 0.0, 0, right_of)
+            goes_left = X[rows, feature] <= threshold
+            work.append((rows[~goes_left], depth + 1, node))
+            work.append((rows[goes_left], depth + 1, -1))
         return self
 
     def predict_proba(self, X):
-        X, single = _check_predict_input(X, self.n_features_in_, self.tree_ is not None)
+        X, single = _check_predict_input(X, self.n_features_in_, self.feature_ is not None)
         out = np.empty(X.shape[0], dtype=np.float64)
-        self._route(self.tree_, X, np.arange(X.shape[0]), out)
+        # One contiguous array per feature makes each node's gather a 1-D take.
+        columns = X.T.copy()
+        feature, threshold, left, right = self.feature_, self.threshold_, self.left_, self.right_
+        probability = self.probability_
+        # Worklist of (node id, rows that reach it); no empty row set is pushed.
+        work = [(0, np.arange(X.shape[0]))]
+        while work:
+            node, rows = work.pop()
+            f = feature[node]
+            if f < 0:
+                out[rows] = probability[node]
+                continue
+            goes_left = columns[f][rows] <= threshold[node]
+            left_rows = rows[goes_left]
+            if left_rows.size:
+                work.append((left[node], left_rows))
+            if left_rows.size < rows.size:
+                work.append((right[node], rows[~goes_left]))
         return float(out[0]) if single else out
 
-    def _route(self, node, X, rows, out):
-        if node.is_leaf:
-            out[rows] = node.probability
-            return
-        goes_left = X[rows, node.feature] <= node.threshold
-        self._route(node.left, X, rows[goes_left], out)
-        self._route(node.right, X, rows[~goes_left], out)
-
     def to_json_doc(self):
-        if self.tree_ is None:
+        if self.feature_ is None:
             raise ValueError("cannot serialize an unfitted tree")
+        # Children follow their parent in preorder, so walking the nodes
+        # backwards finds both child documents already built.
+        docs = [None] * len(self.feature_)
+        for node in range(len(docs) - 1, -1, -1):
+            feature = self.feature_[node]
+            if feature < 0:
+                docs[node] = {"probability": self.probability_[node], "count": self.count_[node]}
+            else:
+                docs[node] = {
+                    "feature": feature,
+                    "threshold": self.threshold_[node],
+                    "left": docs[self.left_[node]],
+                    "right": docs[self.right_[node]],
+                }
         return {
             "kind": "tree",
             "params": {
@@ -228,16 +266,39 @@ class DecisionTreeClassifier:
                 "min_impurity_decrease": self.min_impurity_decrease,
             },
             "n_features": self.n_features_in_,
-            "root": _node_to_doc(self.tree_),
+            "root": docs[0],
         }
 
     @classmethod
     def from_json_doc(cls, doc):
-        if doc.get("kind") != "tree":
+        if _doc_field(doc, "kind", "tree") != "tree":
             raise ValueError(f"expected a tree document, got kind={doc.get('kind')!r}")
-        model = cls(**doc["params"])
-        model.n_features_in_ = int(doc["n_features"])
-        model.tree_ = _node_from_doc(doc["root"])
+        model = _doc_field(doc, "params", "tree", lambda params: cls(**params))
+        model.n_features_in_ = _doc_field(doc, "n_features", "tree", int)
+        model._reset_nodes()
+        n_features = model.n_features_in_
+        # Preorder walk of the nested nodes: (node document, parent id if a
+        # right child).
+        work = [(_doc_field(doc, "root", "tree"), -1)]
+        try:
+            while work:
+                node_doc, right_of = work.pop()
+                if not isinstance(node_doc, dict):
+                    raise ValueError(f"node {node_doc!r} is not an object")
+                if _SPLIT_KEYS.isdisjoint(node_doc):
+                    model._add_node(-1, 0.0, float(node_doc["probability"]),
+                                    int(node_doc["count"]), right_of)
+                    continue
+                feature = int(node_doc["feature"])
+                if not 0 <= feature < n_features:
+                    raise ValueError(f"feature {feature} outside [0, {n_features})")
+                node = model._add_node(feature, float(node_doc["threshold"]), 0.0, 0, right_of)
+                work.append((node_doc["right"], node))
+                work.append((node_doc["left"], -1))
+        except KeyError as err:
+            raise ValueError(f"malformed tree document: a node has no {err} field") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed tree document: {err}") from err
         return model
 
 
@@ -340,15 +401,18 @@ class AdaBoostClassifier:
 
     @classmethod
     def from_json_doc(cls, doc):
-        if doc.get("kind") != "adaboost":
+        if _doc_field(doc, "kind", "adaboost") != "adaboost":
             raise ValueError(
                 f"expected an adaboost document, got kind={doc.get('kind')!r}"
             )
-        model = cls(**doc["params"])
-        model.n_features_in_ = int(doc["n_features"])
+        model = _doc_field(doc, "params", "adaboost", lambda params: cls(**params))
+        model.n_features_in_ = _doc_field(doc, "n_features", "adaboost", int)
         model.stages_ = [
-            (float(stage["weight"]), DecisionTreeClassifier.from_json_doc(stage["tree"]))
-            for stage in doc["stages"]
+            (
+                _doc_field(stage, "weight", "adaboost stage", float),
+                DecisionTreeClassifier.from_json_doc(_doc_field(stage, "tree", "adaboost stage")),
+            )
+            for stage in _doc_field(doc, "stages", "adaboost", list)
         ]
         model.errors_ = None
         model.sample_weight_ = None
@@ -388,17 +452,9 @@ def learner_to_doc(model):
     return to_doc()
 
 
-_DOC_READERS = {
-    "tree": DecisionTreeClassifier.from_json_doc,
-    "adaboost": AdaBoostClassifier.from_json_doc,
-}
-
-
 def learner_from_doc(doc):
     """Rebuild a learner from its JSON document, dispatching on doc["kind"]."""
-    kind = doc.get("kind")
-    try:
-        reader = _DOC_READERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown learner document kind {kind!r}") from None
-    return reader(doc)
+    kind = _doc_field(doc, "kind", "learner")
+    if not isinstance(kind, str) or kind not in LEARNER_REGISTRY:
+        raise ValueError(f"unknown learner document kind {kind!r}")
+    return LEARNER_REGISTRY[kind].from_json_doc(doc)

@@ -83,20 +83,29 @@ def partition_bins(values, k, indices=None) -> BinPartition:
     lo = float(values.min())
     hi = float(values.max())
     edges = np.linspace(lo, hi, k + 1)
+    # The narrowest unsigned type that holds every bin number lets the stable
+    # sort below run as numpy's linear-time radix sort.
+    bin_dtype = np.min_scalar_type(k - 1)
     if lo == hi:
-        assignment = np.zeros(values.size, dtype=np.int64)
+        assignment = np.zeros(values.size, dtype=bin_dtype)
     else:
         # side="right" makes each interior edge belong to the bin above it;
         # the maximum lands in the last bin because it never exceeds edges[-1].
-        assignment = np.searchsorted(edges[1:-1], values, side="right")
+        assignment = np.searchsorted(edges[1:-1], values, side="right").astype(bin_dtype)
 
+    # One stable sort groups the bins and keeps input order inside each, so a
+    # bin's slice holds the same values in the same order as a mask would.
+    order = np.argsort(assignment, kind="stable")
+    sorted_indices = indices[order]
+    sorted_values = values[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=k))))
     member_indices = []
     mean_hardness = np.full(k, np.nan)
     for b in range(k):
-        mask = assignment == b
-        member_indices.append(indices[mask])
-        if mask.any():
-            mean_hardness[b] = values[mask].mean()
+        start, stop = bounds[b], bounds[b + 1]
+        member_indices.append(sorted_indices[start:stop])
+        if stop > start:
+            mean_hardness[b] = sorted_values[start:stop].mean()
     return BinPartition(edges, tuple(member_indices), mean_hardness)
 
 

@@ -1,4 +1,7 @@
 """Ensemble trainers: subset balance, schedules, baselines, persistence."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from selfpaced.ensembles import (
 from selfpaced.learners import DecisionTreeClassifier, LearnerSpec
 from selfpaced.sampling import self_paced_alpha
 
+FIXTURES = Path(__file__).parent / "fixtures"
 BOARD = generate_checkerboard(
     CheckerboardSpec(cov_scale=0.1, n_minority=60, n_majority=600, seed=12)
 )
@@ -244,6 +248,29 @@ def test_model_doc_round_trip():
 def test_model_doc_rejects_foreign_format():
     with pytest.raises(ValueError, match="not an ensemble model document"):
         model_from_doc({"format": "something-else", "members": []})
+
+
+def test_model_doc_rejects_other_versions():
+    doc = model_to_doc(easy_fit(BOARD, EasyConfig(n_estimators=1, base_learner=shallow_tree())))
+    for version in (0, 2, "1", None):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported model document version"):
+            model_from_doc(doc)
+
+
+@pytest.mark.parametrize("learner", ["tree", "adaboost"])
+def test_version_1_model_files_still_load(learner, tmp_path):
+    # Written by the release before trees became flat node lists: spe_fit on
+    # a 40-vs-400 board with depth-5 trees or AdaBoost3 over depth-2 trees.
+    path = FIXTURES / f"model_v1_{learner}.json"
+    reference = json.loads((FIXTURES / "model_v1_scores.json").read_text())
+    probe = np.array(reference["probe"])
+    model = load_model(str(path))
+    assert model.predict_proba(probe).tolist() == reference["scores"][learner]
+    assert [float(model.predict_proba(row)) for row in probe] == reference["scores"][learner]
+    copy = tmp_path / "copy.json"
+    save_model(model, str(copy))
+    assert copy.read_bytes() == path.read_bytes()
 
 
 def test_model_file_round_trip(tmp_path):

@@ -140,6 +140,71 @@ def test_tree_unlimited_depth_memorizes_distinct_rows():
         assert np.array_equal(tree.predict_proba(X) >= 0.5, y == 1)
 
 
+def test_tree_unlimited_depth_on_a_deep_chain():
+    # Alternating labels along one feature: the best cut peels one row off an
+    # end at every level, so the tree is a chain 2999 splits deep, far past
+    # Python's recursion limit.
+    n = 3000
+    X = np.arange(n, dtype=float).reshape(-1, 1)
+    y = np.arange(n) % 2
+    tree = DecisionTreeClassifier(max_depth=None)
+    tree.fit(X, y)
+    depth = [0] * len(tree.feature_)
+    for node, feature in enumerate(tree.feature_):
+        if feature >= 0:
+            depth[tree.left_[node]] = depth[tree.right_[node]] = depth[node] + 1
+    assert max(depth) == n - 1
+    assert tree.predict_proba(X).tolist() == y.astype(float).tolist()
+    assert tree.predict_proba(X[1500]) == 0.0
+    assert tree.predict_proba(X[1501]) == 1.0
+
+
+def test_tree_rejects_non_finite_features():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
+    y = np.array([0, 1, 0])
+    for bad in (np.nan, np.inf, -np.inf):
+        dirty = X.copy()
+        dirty[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2, column 1"):
+            DecisionTreeClassifier().fit(dirty, y)
+        with pytest.raises(ValueError, match="row 2, column 1"):
+            AdaBoostClassifier().fit(dirty, y)
+    tree = DecisionTreeClassifier().fit(X, y)
+    with pytest.raises(ValueError, match="row 0, column 0"):
+        tree.predict_proba(np.array([np.nan, 0.0]))
+    probe = np.zeros((4, 2))
+    probe[3, 1] = np.inf
+    with pytest.raises(ValueError, match="row 3, column 1"):
+        tree.predict_proba(probe)
+
+
+MALFORMED_TREE_EDITS = {
+    "missing threshold": lambda d: d["root"].pop("threshold"),
+    "left without right": lambda d: d["root"].pop("right"),
+    "missing feature": lambda d: d["root"].pop("feature"),
+    "leaf without count": lambda d: d["root"]["left"].pop("count"),
+    "bad threshold": lambda d: d["root"].update(threshold="high"),
+    "feature out of range": lambda d: d["root"].update(feature=1),
+    "node not an object": lambda d: d["root"].update(left=[1, 2]),
+    "missing root": lambda d: d.pop("root"),
+    "missing params": lambda d: d.pop("params"),
+    "unknown param": lambda d: d["params"].update(depth=3),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_TREE_EDITS.values(), ids=MALFORMED_TREE_EDITS.keys())
+def test_tree_rejects_malformed_documents(edit):
+    tree = DecisionTreeClassifier(max_depth=1).fit(XS, np.array([0, 0, 1, 1]))
+    doc = tree.to_json_doc()
+    assert DecisionTreeClassifier.from_json_doc(doc).to_json_doc() == doc
+    edit(doc)
+    with pytest.raises(ValueError, match="malformed"):
+        DecisionTreeClassifier.from_json_doc(doc)
+    with pytest.raises(ValueError, match="malformed"):
+        learner_from_doc({"kind": "adaboost", "params": {}, "n_features": 1,
+                          "stages": [{"weight": 1.0, "tree": doc}]})
+
+
 def doc_depth(node):
     if "threshold" not in node:
         return 0
@@ -330,5 +395,7 @@ def test_learner_doc_dispatch_errors():
         learner_to_doc(object())
     with pytest.raises(ValueError, match="unknown learner document kind 'mystery'"):
         learner_from_doc({"kind": "mystery"})
+    with pytest.raises(ValueError, match="malformed learner document"):
+        learner_from_doc({"params": {}})
     with pytest.raises(ValueError, match="tree document"):
         DecisionTreeClassifier.from_json_doc({"kind": "adaboost"})

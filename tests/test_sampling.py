@@ -91,6 +91,51 @@ def test_partition_bins_cover_everything_fuzz():
                 assert part.mean_hardness[b] == pytest.approx(values[members].mean())
 
 
+def mask_loop_partition(values, k, indices):
+    """Reference binning: one mask per bin over every value, bins by edge tests."""
+    lo, hi = values.min(), values.max()
+    edges = np.linspace(lo, hi, k + 1)
+    members = []
+    means = np.full(k, np.nan)
+    for b in range(k):
+        if lo == hi:
+            mask = np.full(values.size, b == 0)
+        else:
+            mask = np.ones(values.size, dtype=bool)
+            if b > 0:
+                mask &= values >= edges[b]
+            if b < k - 1:
+                mask &= values < edges[b + 1]
+        members.append(indices[mask])
+        if mask.any():
+            means[b] = values[mask].mean()
+    return edges, members, means
+
+
+def test_partition_bins_matches_mask_loop_bitwise():
+    gen = np.random.default_rng(47)
+    # Constant values, and bin numbers too wide for 8 and for 16 bits.
+    cases = [(np.full(9, 0.25), 5), (np.array([0.0, 1.0]), 300), (gen.random(40), 70000)]
+    for _ in range(60):
+        size = int(gen.integers(1, 3000))
+        k = int(gen.choice([1, 2, 7, 20, 64, 300]))
+        if gen.random() < 0.5:
+            # Few distinct values, many of them on bin edges, most bins empty.
+            values = gen.integers(0, 5, size=size) / 4.0
+        else:
+            values = gen.random(size) ** 3
+        cases.append((values, k))
+    for values, k in cases:
+        indices = np.arange(values.size) * 3 + 1
+        part = partition_bins(values, k, indices=indices)
+        edges, members, means = mask_loop_partition(values, k, indices)
+        assert part.edges.tobytes() == edges.tobytes()
+        assert len(part.member_indices) == k
+        for got, want in zip(part.member_indices, members):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert part.mean_hardness.tobytes() == means.tobytes()
+
+
 def test_alpha_starts_at_exact_zero():
     assert self_paced_alpha(1, 10) == 0.0
     assert self_paced_alpha(1, 1) == 0.0
