@@ -37,17 +37,13 @@ from .data import (
     corrupt_missing,
     generate_checkerboard,
     load_csv,
+    load_features,
     save_csv,
 )
 from .ensembles import (
     METHODS,
-    BaselineConfig,
-    CascadeConfig,
-    CascadeIterationLog,
-    EasyConfig,
-    EasyIterationLog,
+    IterationLog,
     SpeConfig,
-    SpeIterationLog,
     cascade_fit,
     easy_fit,
     fit_method,
@@ -61,7 +57,6 @@ from .hardness import (
     HARDNESS_FUNCTIONS,
     absolute_error,
     cross_entropy,
-    hardness_over_majority,
     resolve_hardness,
     squared_error,
 )

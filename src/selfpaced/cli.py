@@ -14,23 +14,16 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .bench import SUITES, BenchConfig, run_suite, write_results
 from .core import RandomSource
 from .data import (
     CheckerboardSpec,
     generate_checkerboard,
     load_csv,
+    load_features,
     save_csv,
 )
-from .ensembles import (
-    METHODS,
-    SpeIterationLog,
-    fit_method,
-    load_model,
-    save_model,
-)
+from .ensembles import METHODS, fit_method, load_model, save_model
 from .hardness import HARDNESS_FUNCTIONS
 from .learners import LearnerSpec
 from .metrics import aucprc, confusion, confusion_scores, stratified_split
@@ -342,14 +335,11 @@ def cmd_train(args) -> int:
         "model_path": str(model_path),
     }
     if args.method == "spe":
-        report["alphas"] = [
-            entry.alpha for entry in log
-            if isinstance(entry, SpeIterationLog) and entry.alpha is not None
-        ]
+        report["alphas"] = [entry.alpha for entry in log if entry.alpha is not None]
         report["bin_occupancy"] = [
             {"iteration": entry.iteration, "counts": list(entry.bin_counts)}
             for entry in log
-            if isinstance(entry, SpeIterationLog) and entry.bin_counts is not None
+            if entry.bin_counts is not None
         ]
     report_path = args.report or f"{model_path}.report.json"
     with open(report_path, "w", encoding="utf-8") as handle:
@@ -364,52 +354,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_feature_rows(args):
-    """Feature matrix for prediction; drops the label column when present."""
-    if not args.data:
-        raise ValueError("--data is required")
-    label = _label_column_arg(args.label_column)
-    with open(args.data, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), None)
-    if header is None:
-        raise ValueError(f"{args.data}: file is empty; a header row is required")
-    has_label = label in header if isinstance(label, str) else True
-    if has_label:
-        loaded = load_csv(
-            args.data,
-            label_column=label,
-            positive_label=args.positive_label,
-            missing_token=args.missing_token,
-        )
-        return loaded.data.features
-    rows = []
-    with open(args.data, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for line_no, row in enumerate(reader, start=2):
-            values = []
-            for i, cell in enumerate(row):
-                if cell == args.missing_token:
-                    values.append(0.0)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{args.data}: column {header[i]!r} has non-numeric value "
-                        f"{cell!r} at row {line_no}"
-                    ) from None
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{args.data}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
-
-
 def cmd_predict(args) -> int:
     if not args.model:
         raise ValueError("--model is required")
     model = load_model(args.model)
-    features = _load_feature_rows(args)
+    if not args.data:
+        raise ValueError("--data is required")
+    features = load_features(
+        args.data, _label_column_arg(args.label_column), args.missing_token
+    )
     scores = model.predict_proba(features)
     lines = ["score"] + [f"{score:.17g}" for score in scores]
     text = "\n".join(lines) + "\n"

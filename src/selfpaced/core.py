@@ -21,18 +21,32 @@ __all__ = [
 _MAX_SEED = 2**64 - 1
 
 
+def _non_finite_cell(features):
+    """(row, column) of the first NaN or infinite entry of a matrix, or None."""
+    finite = np.isfinite(features)
+    if finite.all():
+        return None
+    row, column = np.argwhere(~finite)[0]
+    return int(row), int(column)
+
+
 class Dataset:
     """Immutable feature matrix with aligned binary labels.
 
-    Feature values are 64-bit reals; categorical columns must be encoded
-    upstream. The constructor copies its inputs and marks them read-only so
-    that samplers and trainers can share views safely.
+    Feature values are finite 64-bit reals; categorical columns must be
+    encoded upstream. The constructor copies its inputs and marks them
+    read-only so that samplers and trainers can share views safely.
     """
 
     def __init__(self, features, labels, feature_names=None):
         features = np.array(features, dtype=np.float64, order="C")
         if features.ndim != 2:
             raise ValueError(f"features must be a 2-D matrix, got ndim={features.ndim}")
+        bad = _non_finite_cell(features)
+        if bad is not None:
+            raise ValueError(
+                f"features must be finite: row {bad[0]}, column {bad[1]} holds {features[bad]}"
+            )
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError(f"labels must be a 1-D sequence, got ndim={labels.ndim}")
@@ -238,10 +252,6 @@ class EnsembleModel(MeanScorer):
         self.method = str(method)
         self.config = dict(config or {})
         self.seed = seed
-
-    def partial_scorer(self, upto: int) -> MeanScorer:
-        """Scorer over the first `upto` members (1-based count)."""
-        return partial_ensemble(self, upto)
 
     def __repr__(self) -> str:
         return f"EnsembleModel(method={self.method!r}, members={len(self.members)})"

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RandomSource
+from .core import Dataset, RandomSource, _non_finite_cell
 
 __all__ = [
     "CheckerboardSpec",
@@ -16,6 +16,7 @@ __all__ = [
     "corrupt_missing",
     "LoadedCsv",
     "load_csv",
+    "load_features",
     "save_csv",
 ]
 
@@ -121,14 +122,12 @@ def _resolve_label_column(header, label_column):
     return position % len(header)
 
 
-def load_csv(path, label_column="label", positive_label="1", missing_token="") -> LoadedCsv:
-    """Read a headered CSV into a Dataset.
+def _read_csv(path, label_column, missing_token, label_optional):
+    """Parse a headered CSV in one pass.
 
-    `label_column` is a header name or a column index (negatives count from
-    the end). Label values equal to `positive_label` map to 1, the rest to 0;
-    more than two distinct label values is an error. Feature cells equal to
-    `missing_token` are imputed as 0.0 and counted; any other non-numeric
-    feature cell is an error naming the row and column.
+    Returns (feature names, feature matrix, raw label cells, count of missing
+    cells). With `label_optional`, a label column named but absent from the
+    header leaves every column a feature and no label cells.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -136,7 +135,10 @@ def load_csv(path, label_column="label", positive_label="1", missing_token="") -
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: file is empty; a header row is required") from None
-        label_pos = _resolve_label_column(header, label_column)
+        if label_optional and isinstance(label_column, str) and label_column not in header:
+            label_pos = None
+        else:
+            label_pos = _resolve_label_column(header, label_column)
         feature_names = [name for i, name in enumerate(header) if i != label_pos]
         rows = []
         raw_labels = []
@@ -147,10 +149,10 @@ def load_csv(path, label_column="label", positive_label="1", missing_token="") -
                     f"{path}: row {line_no} has {len(row)} cells, "
                     f"expected {len(header)}"
                 )
-            raw_labels.append(row[label_pos])
             values = []
             for i, cell in enumerate(row):
                 if i == label_pos:
+                    raw_labels.append(cell)
                     continue
                 if cell == missing_token:
                     values.append(0.0)
@@ -167,6 +169,29 @@ def load_csv(path, label_column="label", positive_label="1", missing_token="") -
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    features = np.asarray(rows, dtype=np.float64)
+    bad = _non_finite_cell(features)
+    if bad is not None:
+        row, column = bad
+        raise ValueError(
+            f"{path}: column {feature_names[column]!r} has non-finite value "
+            f"{features[row, column]} at row {row + 2}"
+        )
+    return feature_names, features, raw_labels, n_missing
+
+
+def load_csv(path, label_column="label", positive_label="1", missing_token="") -> LoadedCsv:
+    """Read a headered CSV into a Dataset.
+
+    `label_column` is a header name or a column index (negatives count from
+    the end). Label values equal to `positive_label` map to 1, the rest to 0;
+    more than two distinct label values is an error. Feature cells equal to
+    `missing_token` are imputed as 0.0 and counted; any other non-numeric or
+    non-finite feature cell is an error naming the row and column.
+    """
+    feature_names, features, raw_labels, n_missing = _read_csv(
+        path, label_column, missing_token, label_optional=False
+    )
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise ValueError(
@@ -178,8 +203,17 @@ def load_csv(path, label_column="label", positive_label="1", missing_token="") -
         dtype=np.int64,
         count=len(raw_labels),
     )
-    data = Dataset(np.asarray(rows, dtype=np.float64), labels, feature_names)
-    return LoadedCsv(data, n_missing)
+    return LoadedCsv(Dataset(features, labels, feature_names), n_missing)
+
+
+def load_features(path, label_column="label", missing_token="") -> np.ndarray:
+    """Feature matrix of a headered CSV, without its label column if it has one.
+
+    A named `label_column` may be absent, and then every column is a feature;
+    an index always names the label column. Cells are read and checked as
+    `load_csv` reads them.
+    """
+    return _read_csv(path, label_column, missing_token, label_optional=True)[1]
 
 
 def save_csv(data: Dataset, path) -> None:

@@ -1,14 +1,15 @@
 """Ensemble trainers: self-paced hardness-harmonized under-sampling and baselines.
 
-All trainers return an EnsembleModel whose prediction is the plain mean of
-member probabilities. Sampling randomness flows through RandomSource child
-streams keyed by ("undersample", iteration), so trainers that draw the same
-way on the same seed produce the same subsets.
+Every trainer takes one SpeConfig and returns an EnsembleModel whose
+prediction is the plain mean of member probabilities; pass a list as `log`
+to receive one IterationLog per trained learner. Sampling randomness flows
+through RandomSource child streams keyed by ("undersample", iteration), so
+trainers that draw the same way on the same seed produce the same subsets.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +29,7 @@ from .sampling import (
 
 __all__ = [
     "SpeConfig",
-    "EasyConfig",
-    "CascadeConfig",
-    "BaselineConfig",
-    "SpeIterationLog",
-    "EasyIterationLog",
-    "CascadeIterationLog",
+    "IterationLog",
     "spe_fit",
     "easy_fit",
     "cascade_fit",
@@ -64,12 +60,15 @@ def _resolve_learner(base_learner):
     )
 
 
-def _check_trainable(data: Dataset):
+def _start(data: Dataset, config):
+    """Checks every trainer makes; returns the learner factory, its echo and the RNG."""
     if data.n_minority == 0 or data.n_majority == 0:
         raise ValueError(
             f"training requires both classes; got {data.n_minority} minority "
             f"and {data.n_majority} majority samples"
         )
+    factory, learner_echo = _resolve_learner(config.base_learner)
+    return factory, learner_echo, RandomSource(config.seed)
 
 
 def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
@@ -86,76 +85,53 @@ def _member_scores(member, X):
 
 @dataclass(frozen=True)
 class SpeConfig:
-    n_estimators: int
+    """Settings for every trainer; each reads only the fields it uses.
+
+    `k_bins`, `hardness` and `alpha_cap` steer spe. `keep_fp_rate` steers
+    cascade, and None derives it from the imbalance. The one-learner
+    baselines ignore `n_estimators`.
+    """
+
+    n_estimators: int = 10
     base_learner: object = "tree"
     k_bins: int = 20
     hardness: object = "absolute"
     alpha_cap: float = DEFAULT_ALPHA_CAP
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class EasyConfig:
-    n_estimators: int
-    base_learner: object = "tree"
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class CascadeConfig:
-    n_estimators: int
-    base_learner: object = "tree"
     keep_fp_rate: float | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    base_learner: object = "tree"
-    seed: int = 0
+class IterationLog:
+    """One trained learner: the composition of its subset and the sampler state.
 
+    spe sets `alpha` and `bin_counts` (None for its bootstrap learner) and
+    cascade sets `pool_size`; a method without such a value leaves it None.
+    """
 
-@dataclass(frozen=True)
-class SpeIterationLog:
-    """One training iteration: its schedule state and subset composition."""
-
-    iteration: int
-    alpha: float | None
-    bin_counts: tuple | None
-    n_minority: int
-    n_majority: int
-
-
-@dataclass(frozen=True)
-class EasyIterationLog:
     iteration: int
     n_minority: int
     n_majority: int
-
-
-@dataclass(frozen=True)
-class CascadeIterationLog:
-    iteration: int
-    pool_size: int
-    n_minority: int
-    n_majority: int
+    alpha: float | None = None
+    bin_counts: tuple | None = None
+    pool_size: int | None = None
 
 
 def _hardness_echo(hardness):
     return hardness if isinstance(hardness, str) else getattr(hardness, "__name__", "custom")
 
 
-def _config_echo(config, learner_echo, **extra):
+def _model(method, members, config, **resolved):
+    """EnsembleModel whose config echoes the method's keys, in table order.
+
+    `resolved` holds the values a trainer worked out, such as the learner
+    echo; every other echoed key is read from `config`.
+    """
     echo = {
-        key: value
-        for key, value in asdict(config).items()
-        if key not in ("base_learner", "hardness")
+        key: resolved[key] if key in resolved else getattr(config, key)
+        for key in _METHOD_TABLE[method][2]
     }
-    if hasattr(config, "hardness"):
-        echo["hardness"] = _hardness_echo(config.hardness)
-    echo["base_learner"] = learner_echo
-    echo.update(extra)
-    return echo
+    return EnsembleModel(members, method, echo, config.seed)
 
 
 def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
@@ -168,10 +144,10 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     next learner on the drawn majority rows plus every minority row. f0 only
     bootstraps hardness: the returned model averages the n later learners.
 
-    Pass a list as `log` to receive one SpeIterationLog per trained learner
+    Pass a list as `log` to receive one IterationLog per trained learner
     (iteration 0 is the bootstrap).
     """
-    _check_trainable(data)
+    factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
     if n < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n}")
@@ -179,8 +155,6 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     if k < 1:
         raise ValueError(f"k_bins must be >= 1, got {k}")
     hardness_fn = resolve_hardness(config.hardness)
-    factory, learner_echo = _resolve_learner(config.base_learner)
-    rng = RandomSource(config.seed)
 
     minority = data.minority_indices
     majority = data.majority_indices
@@ -190,7 +164,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     bootstrap_rows = random_undersample(data, rng.child("undersample", 0))
     member = _fit_member(factory, data, bootstrap_rows, minority)
     if log is not None:
-        log.append(SpeIterationLog(0, None, None, minority.size, len(bootstrap_rows)))
+        log.append(IterationLog(0, minority.size, len(bootstrap_rows)))
 
     # Running sum of member scores over the fixed majority rows keeps the
     # per-iteration ensemble mean O(1) member evaluations.
@@ -209,39 +183,29 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         members.append(member)
         score_sum = score_sum + _member_scores(member, majority_X)
         if log is not None:
-            log.append(
-                SpeIterationLog(
-                    i,
-                    alpha,
-                    tuple(int(c) for c in partition.counts),
-                    minority.size,
-                    len(chosen),
-                )
-            )
-    echo = _config_echo(config, learner_echo)
-    return EnsembleModel(members, "spe", echo, config.seed)
+            counts = tuple(int(c) for c in partition.counts)
+            log.append(IterationLog(i, minority.size, len(chosen), alpha, counts))
+    return _model("spe", members, config, base_learner=learner_echo,
+                  hardness=_hardness_echo(config.hardness))
 
 
-def easy_fit(data: Dataset, config: EasyConfig, log=None) -> EnsembleModel:
+def easy_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """Train independent learners on independent random balanced subsets."""
-    _check_trainable(data)
+    factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
     if n < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n}")
-    factory, learner_echo = _resolve_learner(config.base_learner)
-    rng = RandomSource(config.seed)
     minority = data.minority_indices
     members = []
     for i in range(n):
         rows = random_undersample(data, rng.child("undersample", i))
         members.append(_fit_member(factory, data, rows, minority))
         if log is not None:
-            log.append(EasyIterationLog(i, minority.size, len(rows)))
-    echo = _config_echo(config, learner_echo)
-    return EnsembleModel(members, "easy", echo, config.seed)
+            log.append(IterationLog(i, minority.size, len(rows)))
+    return _model("easy", members, config, base_learner=learner_echo)
 
 
-def cascade_fit(data: Dataset, config: CascadeConfig, log=None) -> EnsembleModel:
+def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """Train a cascade that discards confidently rejected majority samples.
 
     Each iteration trains on a random balanced subset of the live majority
@@ -252,7 +216,7 @@ def cascade_fit(data: Dataset, config: CascadeConfig, log=None) -> EnsembleModel
     (|P| / |N|) ** (1 / (n - 1)), lands the pool near |P| at the last
     iteration.
     """
-    _check_trainable(data)
+    factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
     if n < 1:
         raise ValueError(f"n_estimators must be >= 1, got {n}")
@@ -268,8 +232,6 @@ def cascade_fit(data: Dataset, config: CascadeConfig, log=None) -> EnsembleModel
     if not 0.0 < keep_fp_rate <= 1.0:
         raise ValueError(f"keep_fp_rate must lie in (0, 1], got {keep_fp_rate}")
 
-    factory, learner_echo = _resolve_learner(config.base_learner)
-    rng = RandomSource(config.seed)
     minority = data.minority_indices
     majority = data.majority_indices
     majority_X = data.features[majority]
@@ -282,7 +244,7 @@ def cascade_fit(data: Dataset, config: CascadeConfig, log=None) -> EnsembleModel
         member = _fit_member(factory, data, rows, minority)
         members.append(member)
         if log is not None:
-            log.append(CascadeIterationLog(i, pool.size, minority.size, len(rows)))
+            log.append(IterationLog(i, minority.size, len(rows), pool_size=pool.size))
         if i == n - 1:
             break
         score_sum = score_sum + _member_scores(member, majority_X)
@@ -292,73 +254,58 @@ def cascade_fit(data: Dataset, config: CascadeConfig, log=None) -> EnsembleModel
         pool = np.sort(pool[ranked[:keep]])
         if pool.size < minority.size:
             break
-    echo = _config_echo(config, learner_echo, keep_fp_rate=keep_fp_rate)
-    return EnsembleModel(members, "cascade", echo, config.seed)
-
-
-def _rand_under_fit(data, config, log=None):
-    _check_trainable(data)
-    factory, learner_echo = _resolve_learner(config.base_learner)
-    rng = RandomSource(config.seed)
-    rows = random_undersample(data, rng.child("undersample", 0))
-    member = _fit_member(factory, data, rows, data.minority_indices)
-    if log is not None:
-        log.append(EasyIterationLog(0, data.n_minority, len(rows)))
-    return EnsembleModel([member], "rand-under", _config_echo(config, learner_echo), config.seed)
+    return _model("cascade", members, config, base_learner=learner_echo,
+                  keep_fp_rate=keep_fp_rate)
 
 
 def _rand_over_fit(data, config, log=None):
-    _check_trainable(data)
-    factory, learner_echo = _resolve_learner(config.base_learner)
-    rng = RandomSource(config.seed)
+    factory, learner_echo, rng = _start(data, config)
     minority_rows = random_oversample(data, rng.child("oversample", 0))
     member = _fit_member(factory, data, data.majority_indices, minority_rows)
     if log is not None:
-        log.append(EasyIterationLog(0, len(minority_rows), data.n_majority))
-    return EnsembleModel([member], "rand-over", _config_echo(config, learner_echo), config.seed)
+        log.append(IterationLog(0, len(minority_rows), data.n_majority))
+    return _model("rand-over", [member], config, base_learner=learner_echo)
 
 
 def _plain_fit(data, config, log=None):
-    _check_trainable(data)
-    factory, learner_echo = _resolve_learner(config.base_learner)
+    factory, learner_echo, _ = _start(data, config)
     member = factory()
     member.fit(data.features, data.labels)
     if log is not None:
-        log.append(EasyIterationLog(0, data.n_minority, data.n_majority))
-    return EnsembleModel([member], "none", _config_echo(config, learner_echo), config.seed)
+        log.append(IterationLog(0, data.n_minority, data.n_majority))
+    return _model("none", [member], config, base_learner=learner_echo)
 
 
-METHODS = ("spe", "easy", "cascade", "rand-under", "rand-over", "none")
+# method -> (trainer, config fields the method fixes, keys echoed into the
+# model document's config, in order). fit_method looks the trainer up among
+# the module globals at each call, so a wrapper set on a global (as
+# perfbench/spans.py sets them) sees every call.
+_METHOD_TABLE = {
+    "spe": ("spe_fit", {},
+            ("n_estimators", "k_bins", "alpha_cap", "seed", "hardness", "base_learner")),
+    "easy": ("easy_fit", {}, ("n_estimators", "seed", "base_learner")),
+    "cascade": ("cascade_fit", {}, ("n_estimators", "keep_fp_rate", "seed", "base_learner")),
+    "rand-under": ("easy_fit", {"n_estimators": 1}, ("seed", "base_learner")),
+    "rand-over": ("_rand_over_fit", {}, ("seed", "base_learner")),
+    "none": ("_plain_fit", {}, ("seed", "base_learner")),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 
-def fit_method(
-    data: Dataset,
-    method: str,
-    base_learner="tree",
-    n_estimators: int = 10,
-    k_bins: int = 20,
-    hardness="absolute",
-    alpha_cap: float = DEFAULT_ALPHA_CAP,
-    keep_fp_rate: float | None = None,
-    seed: int = 0,
-    log=None,
-) -> EnsembleModel:
-    """Train by method name; the single dispatch point used by the CLI."""
-    if method == "spe":
-        config = SpeConfig(n_estimators, base_learner, k_bins, hardness, alpha_cap, seed)
-        return spe_fit(data, config, log=log)
-    if method == "easy":
-        return easy_fit(data, EasyConfig(n_estimators, base_learner, seed), log=log)
-    if method == "cascade":
-        config = CascadeConfig(n_estimators, base_learner, keep_fp_rate, seed)
-        return cascade_fit(data, config, log=log)
-    if method == "rand-under":
-        return _rand_under_fit(data, BaselineConfig(base_learner, seed), log=log)
-    if method == "rand-over":
-        return _rand_over_fit(data, BaselineConfig(base_learner, seed), log=log)
-    if method == "none":
-        return _plain_fit(data, BaselineConfig(base_learner, seed), log=log)
-    raise ValueError(f"unknown method {method!r}; valid: {' | '.join(METHODS)}")
+def fit_method(data: Dataset, method: str, log=None, **fields) -> EnsembleModel:
+    """Train by method name; the single dispatch point of the CLI and the bench.
+
+    `fields` are SpeConfig fields, and a method ignores those it does not
+    use. `rand-under` is `easy` with one member.
+    """
+    if method not in _METHOD_TABLE:
+        raise ValueError(f"unknown method {method!r}; valid: {' | '.join(METHODS)}")
+    trainer, fixed, _ = _METHOD_TABLE[method]
+    config = SpeConfig(**{**fields, **fixed})
+    model = globals()[trainer](data, config, log=log)
+    if model.method != method:
+        model = _model(method, model.members, config, **model.config)
+    return model
 
 
 def model_to_doc(model: EnsembleModel) -> dict:
@@ -374,6 +321,9 @@ def model_to_doc(model: EnsembleModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> EnsembleModel:
+    """Rebuild a model; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document is a JSON object, got {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not an ensemble model document: format={doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
@@ -381,8 +331,13 @@ def model_from_doc(doc: dict) -> EnsembleModel:
             f"unsupported model document version {doc.get('version')!r}; "
             f"this release reads version {MODEL_VERSION}"
         )
-    members = [learner_from_doc(member) for member in doc["members"]]
-    return EnsembleModel(members, doc["method"], doc.get("config"), doc.get("seed"))
+    method, members, config = doc.get("method"), doc.get("members"), doc.get("config")
+    if not isinstance(method, str) or not isinstance(members, list):
+        raise ValueError("malformed model document: needs a 'method' name and a 'members' list")
+    if not isinstance(config, (dict, type(None))):
+        raise ValueError("malformed model document: 'config' is not an object")
+    members = [learner_from_doc(member) for member in members]
+    return EnsembleModel(members, method, config, doc.get("seed"))
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -14,7 +14,6 @@ __all__ = [
     "cross_entropy",
     "HARDNESS_FUNCTIONS",
     "resolve_hardness",
-    "hardness_over_majority",
 ]
 
 CROSS_ENTROPY_EPS = 1e-12
@@ -80,26 +79,3 @@ def resolve_hardness(spec):
         valid = " | ".join(sorted(HARDNESS_FUNCTIONS))
         raise ValueError(f"unknown hardness function {spec!r}; valid: {valid}") from None
 
-
-def _call_scorer(scorer, X):
-    predict = getattr(scorer, "predict_proba", None)
-    scores = predict(X) if predict is not None else scorer(X)
-    return np.asarray(scores, dtype=np.float64)
-
-
-def hardness_over_majority(data, scorer, fn="absolute"):
-    """Hardness of every majority row of `data` under `scorer`.
-
-    The scorer sees only the majority feature rows. Returns `(indices,
-    values)`: dataset row indices aligned with their hardness values.
-    """
-    fn = resolve_hardness(fn)
-    indices = data.majority_indices
-    if indices.size == 0:
-        raise ValueError("dataset has no majority samples to score")
-    scores = _call_scorer(scorer, data.features[indices])
-    if scores.shape != (indices.size,):
-        raise ValueError(
-            f"scorer returned shape {scores.shape}, expected ({indices.size},)"
-        )
-    return indices, fn(scores, 0)

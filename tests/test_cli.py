@@ -151,6 +151,43 @@ def test_predict_to_stdout_without_output(tmp_path, capsys):
     assert len(lines) == 41
 
 
+def test_predict_without_a_label_column_matches_labelled_scores(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    bare_path = tmp_path / "bare.csv"
+    model_path = str(tmp_path / "model.json")
+    run_cli(capsys, ["generate", "--seed", "4", "--n-minority", "20",
+                     "--n-majority", "80", "--output", str(data_path)])
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x0,x1,label"
+    bare_path.write_text(
+        "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n", encoding="utf-8"
+    )
+    run_cli(capsys, ["train", "--data", str(data_path), "--split", "all",
+                     "--n-estimators", "3", "--max-depth", "4", "--output", model_path])
+    outputs = []
+    for path in (data_path, bare_path):
+        out = tmp_path / f"{path.stem}.scores.csv"
+        payload = run_cli(capsys, ["predict", "--model", model_path, "--data", str(path),
+                                   "--output", str(out)])
+        assert payload["rows"] == 100
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_predict_rejects_a_ragged_row_without_a_label_column(tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    run_cli(capsys, ["train", *SMALL_BOARD, "--method", "easy", "--n-estimators", "1",
+                     "--max-depth", "2", "--output", model_path])
+    for row in ("0.3", "0.3,0.4,0.5"):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(f"x0,x1\n0.1,0.2\n{row}\n", encoding="utf-8")
+        code, err = run_cli_error(capsys, ["predict", "--model", model_path,
+                                           "--data", str(ragged)])
+        assert code == 1
+        cells = row.count(",") + 1
+        assert err["error"] == f"{ragged}: row 3 has {cells} cells, expected 2"
+
+
 def test_eval_emits_exact_metric_keys(tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
     run_cli(

@@ -80,6 +80,14 @@ def test_dataset_rejects_bad_labels():
         Dataset(np.zeros((2, 3)), np.array([0, 1]), feature_names=("a",))
 
 
+def test_dataset_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, -np.inf):
+        features = np.zeros((3, 2))
+        features[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite: row 2, column 1"):
+            Dataset(features, np.array([0, 1, 0]))
+
+
 def test_dataset_subset_allows_duplicates():
     data = small_dataset()
     sub = data.subset([3, 3, 0])
@@ -201,9 +209,9 @@ def test_ensemble_model_metadata_and_partials():
     assert model.seed == 5
 
     X = np.zeros((2, 2))
-    assert np.allclose(model.partial_scorer(1).predict_proba(X), 0.1)
-    assert np.allclose(model.partial_scorer(2).predict_proba(X), 0.2)
-    assert np.allclose(model.partial_scorer(3).predict_proba(X), 0.4)
+    assert np.allclose(partial_ensemble(model, 1).predict_proba(X), 0.1)
+    assert np.allclose(partial_ensemble(model, 2).predict_proba(X), 0.2)
+    assert np.allclose(partial_ensemble(model, 3).predict_proba(X), 0.4)
     assert np.allclose(partial_ensemble(members, 2).predict_proba(X), 0.2)
 
 

@@ -10,6 +10,7 @@ from selfpaced.data import (
     corrupt_missing,
     generate_checkerboard,
     load_csv,
+    load_features,
     save_csv,
 )
 
@@ -213,6 +214,28 @@ def test_load_csv_error_names_row_and_column(tmp_path):
     )
     with pytest.raises(ValueError, match="column 'x1'.*'oops'.*row 3"):
         load_csv(path)
+
+
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    for cell in ("inf", "-inf", "nan", "1e999"):
+        path = write_lines(
+            tmp_path / "d.csv", ["x0,x1,label", "0.5,1.0,1", f"0.7,{cell},0"]
+        )
+        with pytest.raises(ValueError, match=r"d\.csv: column 'x1' has non-finite value .* at row 3"):
+            load_csv(path)
+        with pytest.raises(ValueError, match="column 'x1' has non-finite value"):
+            load_features(path)
+
+
+def test_load_features_with_and_without_a_label_column(tmp_path):
+    labelled = write_lines(tmp_path / "l.csv", ["x0,label,x1", "0.5,1,1.5", ",0,3.5"])
+    bare = write_lines(tmp_path / "b.csv", ["x0,x1", "0.5,1.5", ",3.5"])
+    expected = [[0.5, 1.5], [0.0, 3.5]]
+    assert load_features(labelled).tolist() == expected
+    assert load_features(bare).tolist() == expected
+    assert load_features(labelled, label_column=1).tolist() == expected
+    # An index always names a label column, present or not.
+    assert load_features(bare, label_column=0).tolist() == [[1.5], [3.5]]
 
 
 def test_load_csv_structural_errors(tmp_path):

@@ -9,8 +9,6 @@ from selfpaced.core import Dataset
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
 from selfpaced.ensembles import (
     METHODS,
-    CascadeConfig,
-    EasyConfig,
     SpeConfig,
     cascade_fit,
     easy_fit,
@@ -109,6 +107,34 @@ def test_spe_config_echo():
     assert model.seed == 0
 
 
+# Written at the release before the trainers shared one config: fit_method on
+# BOARD with n_estimators=3, k_bins=5, hardness="squared", alpha_cap=7.5 and
+# seed 4, over depth-4 trees. Key order is part of the model file.
+_TREE4 = {"name": "tree", "params": {"max_depth": 4}}
+CONFIG_ECHOES = {
+    "spe": [("n_estimators", 3), ("k_bins", 5), ("alpha_cap", 7.5), ("seed", 4),
+            ("hardness", "squared"), ("base_learner", _TREE4)],
+    "easy": [("n_estimators", 3), ("seed", 4), ("base_learner", _TREE4)],
+    "cascade": [("n_estimators", 3), ("keep_fp_rate", 0.31622776601683794), ("seed", 4),
+                ("base_learner", _TREE4)],
+    "rand-under": [("seed", 4), ("base_learner", _TREE4)],
+    "rand-over": [("seed", 4), ("base_learner", _TREE4)],
+    "none": [("seed", 4), ("base_learner", _TREE4)],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_config_echo_per_method(method):
+    model = fit_method(
+        BOARD, method, base_learner=shallow_tree(), n_estimators=3, k_bins=5,
+        hardness="squared", alpha_cap=7.5, seed=4,
+    )
+    assert list(model.config.items()) == CONFIG_ECHOES[method]
+    assert list(model_to_doc(model)["config"].items()) == CONFIG_ECHOES[method]
+    assert model.method == method
+    assert model.seed == 4
+
+
 def test_spe_validation():
     with pytest.raises(ValueError, match="n_estimators"):
         spe_fit(BOARD, SpeConfig(n_estimators=0))
@@ -123,7 +149,7 @@ def test_spe_validation():
 
 def test_easy_members_and_balance():
     log = []
-    model = easy_fit(BOARD, EasyConfig(n_estimators=4, base_learner=shallow_tree()), log=log)
+    model = easy_fit(BOARD, SpeConfig(n_estimators=4, base_learner=shallow_tree()), log=log)
     assert len(model.members) == 4
     assert model.method == "easy"
     for entry in log:
@@ -132,20 +158,31 @@ def test_easy_members_and_balance():
 
 
 def test_easy_single_member_equals_rand_under():
-    # Both draw their one subset from the ("undersample", 0) stream of the
-    # same seed, so the trained trees are identical.
-    easy = easy_fit(BOARD, EasyConfig(n_estimators=1, base_learner=shallow_tree(), seed=7))
-    rand = fit_method(BOARD, "rand-under", base_learner=shallow_tree(), seed=7)
-    assert model_to_doc(easy)["members"] == model_to_doc(rand)["members"]
+    # rand-under is easy with one member, whatever n_estimators says: the
+    # same subset, tree, scores and log.
     probe = BOARD.features[:50]
-    assert np.array_equal(easy.predict_proba(probe), rand.predict_proba(probe))
+    for seed in (0, 5, 7, 17):
+        easy_log, rand_log = [], []
+        easy = easy_fit(
+            BOARD, SpeConfig(n_estimators=1, base_learner=shallow_tree(), seed=seed),
+            log=easy_log,
+        )
+        rand = fit_method(
+            BOARD, "rand-under", base_learner=shallow_tree(), n_estimators=4, seed=seed,
+            log=rand_log,
+        )
+        assert model_to_doc(easy)["members"] == model_to_doc(rand)["members"]
+        assert easy.predict_proba(probe).tobytes() == rand.predict_proba(probe).tobytes()
+        assert easy_log == rand_log
+        assert rand.method == "rand-under"
+        assert len(rand.members) == 1
 
 
 def test_cascade_keep_everything_equals_easy():
-    easy = easy_fit(BOARD, EasyConfig(n_estimators=3, base_learner=shallow_tree(), seed=5))
+    easy = easy_fit(BOARD, SpeConfig(n_estimators=3, base_learner=shallow_tree(), seed=5))
     cascade = cascade_fit(
         BOARD,
-        CascadeConfig(n_estimators=3, base_learner=shallow_tree(), keep_fp_rate=1.0, seed=5),
+        SpeConfig(n_estimators=3, base_learner=shallow_tree(), keep_fp_rate=1.0, seed=5),
     )
     assert model_to_doc(easy)["members"] == model_to_doc(cascade)["members"]
 
@@ -157,7 +194,7 @@ def test_cascade_pool_schedule():
     labels = np.concatenate([np.zeros(10000, dtype=int), np.ones(100, dtype=int)])
     data = Dataset(features, labels)
     log = []
-    model = cascade_fit(data, CascadeConfig(n_estimators=5), log=log)
+    model = cascade_fit(data, SpeConfig(n_estimators=5), log=log)
     assert model.config["keep_fp_rate"] == pytest.approx(0.31622776601683794, abs=1e-15)
     assert [entry.pool_size for entry in log] == [10000, 3163, 1001, 317, 101]
     assert len(model.members) == 5
@@ -173,7 +210,7 @@ def test_cascade_stops_when_pool_underruns_minority():
     log = []
     model = cascade_fit(
         data,
-        CascadeConfig(n_estimators=5, base_learner=shallow_tree(), keep_fp_rate=0.1),
+        SpeConfig(n_estimators=5, base_learner=shallow_tree(), keep_fp_rate=0.1),
         log=log,
     )
     # After the first pruning the pool holds 10 < 50 samples.
@@ -183,13 +220,13 @@ def test_cascade_stops_when_pool_underruns_minority():
 
 def test_cascade_default_rate_needs_two_iterations():
     with pytest.raises(ValueError, match="n_estimators >= 2"):
-        cascade_fit(BOARD, CascadeConfig(n_estimators=1))
-    model = cascade_fit(BOARD, CascadeConfig(n_estimators=1, keep_fp_rate=0.5))
+        cascade_fit(BOARD, SpeConfig(n_estimators=1))
+    model = cascade_fit(BOARD, SpeConfig(n_estimators=1, keep_fp_rate=0.5))
     assert len(model.members) == 1
     with pytest.raises(ValueError, match="keep_fp_rate"):
-        cascade_fit(BOARD, CascadeConfig(n_estimators=3, keep_fp_rate=0.0))
+        cascade_fit(BOARD, SpeConfig(n_estimators=3, keep_fp_rate=0.0))
     with pytest.raises(ValueError, match="keep_fp_rate"):
-        cascade_fit(BOARD, CascadeConfig(n_estimators=3, keep_fp_rate=1.5))
+        cascade_fit(BOARD, SpeConfig(n_estimators=3, keep_fp_rate=1.5))
 
 
 def test_rand_over_uses_full_majority():
@@ -248,10 +285,22 @@ def test_model_doc_round_trip():
 def test_model_doc_rejects_foreign_format():
     with pytest.raises(ValueError, match="not an ensemble model document"):
         model_from_doc({"format": "something-else", "members": []})
+    with pytest.raises(ValueError, match="model document is a JSON object, got list"):
+        model_from_doc([])
+    good = model_to_doc(easy_fit(BOARD, SpeConfig(n_estimators=1, base_learner=shallow_tree())))
+    for key in ("members", "method"):
+        doc = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError, match="malformed model document"):
+            model_from_doc(doc)
+    for key, bad in (("members", {}), ("method", 3), ("config", [1, 2])):
+        with pytest.raises(ValueError, match="malformed model document"):
+            model_from_doc({**good, key: bad})
+    with pytest.raises(ValueError, match="malformed learner document"):
+        model_from_doc({**good, "members": ["tree"]})
 
 
 def test_model_doc_rejects_other_versions():
-    doc = model_to_doc(easy_fit(BOARD, EasyConfig(n_estimators=1, base_learner=shallow_tree())))
+    doc = model_to_doc(easy_fit(BOARD, SpeConfig(n_estimators=1, base_learner=shallow_tree())))
     for version in (0, 2, "1", None):
         doc["version"] = version
         with pytest.raises(ValueError, match="unsupported model document version"):
@@ -274,7 +323,7 @@ def test_version_1_model_files_still_load(learner, tmp_path):
 
 
 def test_model_file_round_trip(tmp_path):
-    model = easy_fit(BOARD, EasyConfig(n_estimators=2, base_learner=shallow_tree(), seed=1))
+    model = easy_fit(BOARD, SpeConfig(n_estimators=2, base_learner=shallow_tree(), seed=1))
     path = tmp_path / "model.json"
     save_model(model, str(path))
     restored = load_model(str(path))

@@ -1,15 +1,13 @@
-"""Hardness functions: formulas, monotonicity, resolution, majority evaluation."""
+"""Hardness functions: formulas, monotonicity, resolution."""
 import math
 
 import numpy as np
 import pytest
 
-from selfpaced.core import Dataset
 from selfpaced.hardness import (
     HARDNESS_FUNCTIONS,
     absolute_error,
     cross_entropy,
-    hardness_over_majority,
     resolve_hardness,
     squared_error,
 )
@@ -97,49 +95,3 @@ def test_resolve_hardness_unknown():
     with pytest.raises(ValueError, match="absolute | cross-entropy | squared"):
         resolve_hardness("nope")
 
-
-class FixedScorer:
-    """Returns a prebaked score per row index (first feature is the index)."""
-
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.float64)
-        self.n_features_in_ = 2
-
-    def predict_proba(self, X):
-        return self.table[np.asarray(X)[:, 0].astype(int)]
-
-
-def test_hardness_over_majority_selects_majority_rows():
-    features = np.array([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]])
-    labels = np.array([0, 1, 0, 1])
-    data = Dataset(features, labels)
-    scores = [0.2, 0.9, 0.7, 0.1]
-    indices, values = hardness_over_majority(data, FixedScorer(scores))
-    assert indices.tolist() == [0, 2]
-    # absolute hardness of a majority row is its raw score
-    assert np.allclose(values, [0.2, 0.7], atol=1e-15)
-
-
-def test_hardness_over_majority_with_named_function():
-    features = np.array([[0.0, 0], [1.0, 0], [2.0, 0]])
-    data = Dataset(features, np.array([0, 0, 1]))
-    _, values = hardness_over_majority(data, FixedScorer([0.5, 0.25, 0.0]), "squared")
-    assert np.allclose(values, [0.25, 0.0625], atol=1e-15)
-
-
-def test_hardness_over_majority_requires_majority():
-    data = Dataset(np.zeros((2, 2)), np.array([1, 1]))
-    with pytest.raises(ValueError, match="majority"):
-        hardness_over_majority(data, FixedScorer([0.5, 0.5]))
-
-
-def test_hardness_over_majority_checks_scorer_shape():
-    class Wide:
-        n_features_in_ = 2
-
-        def predict_proba(self, X):
-            return np.zeros((len(X), 2))
-
-    data = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]))
-    with pytest.raises(ValueError, match="shape"):
-        hardness_over_majority(data, Wide())
