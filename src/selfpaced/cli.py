@@ -46,15 +46,17 @@ class _JsonErrorParser(argparse.ArgumentParser):
         _emit_error(message, 2)
 
 
-def _add_data_options(sub, with_checkerboard=True):
+def _add_data_options(sub, labelled=True):
+    """Train and eval read labelled rows, from a CSV or a generated board;
+    predict reads feature rows only, dropping a label column if present."""
     sub.add_argument("--data", help="input CSV path (headered)")
     sub.add_argument("--label-column", default="label",
                      help="label column name or integer index (default: label)")
-    sub.add_argument("--positive-label", default="1",
-                     help="label value mapped to class 1 (default: 1)")
     sub.add_argument("--missing-token", default="",
                      help="feature cell treated as missing, imputed 0.0")
-    if with_checkerboard:
+    if labelled:
+        sub.add_argument("--positive-label", default="1",
+                         help="label value mapped to class 1 (default: 1)")
         sub.add_argument("--checkerboard", action="store_true",
                          help="generate checkerboard data instead of reading --data")
         sub.add_argument("--data-seed", type=int, default=0,
@@ -133,7 +135,7 @@ def build_parser():
 
     sub = register("predict", "score rows with a trained model")
     sub.add_argument("--model", help="model JSON path")
-    _add_data_options(sub, with_checkerboard=False)
+    _add_data_options(sub, labelled=False)
 
     sub = register("eval", "evaluate a trained model on a dataset split")
     sub.add_argument("--model", help="model JSON path")

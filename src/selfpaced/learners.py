@@ -88,6 +88,69 @@ def _check_predict_input(X, n_features, fitted):
     return X, single
 
 
+def _sums_are_exact(w):
+    """True when every sum over a subset of `w` is exact in float64.
+
+    That holds for integer weights below 2**53 in total, such as the unit
+    weights of an ensemble member: then a difference of two running sums
+    equals a node's own `np.cumsum`, and any order of addition equals the
+    pairwise `.sum()`. Other weights, such as AdaBoost's normalized ones,
+    are summed node by node in the order a per-node fit would use.
+    """
+    return bool((w == np.floor(w)).all()) and w.sum() < 2.0 ** 53
+
+
+def _node_totals(w, y, rows, sizes, exact):
+    """Each node's weight and positive-class weight.
+
+    `rows` holds the nodes' rows one segment per node, in row order, so the
+    numbers equal `w[r].sum()` and `w[r][y[r] == 1].sum()` of the node's rows.
+    """
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    w_rows = w[rows]
+    positive = y[rows] == 1
+    if exact:
+        total = np.concatenate(([0.0], np.cumsum(w_rows)))
+        pos = np.concatenate(([0.0], np.cumsum(np.where(positive, w_rows, 0.0))))
+        return total[ends] - total[starts], pos[ends] - pos[starts]
+    total, pos = [], []
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        total.append(w_rows[start:end].sum())
+        pos.append(w_rows[start:end][positive[start:end]].sum())
+    return np.array(total), np.array(pos)
+
+
+def _prefix_at(values, starts, node, cuts, exact):
+    """`np.cumsum` of each node's segment of `values`, read at `cuts`.
+
+    Segments start at `starts` and run to the next start; `node` holds the
+    segment of each cut.
+    """
+    if exact:
+        running = np.cumsum(values)
+        return running[cuts] - np.concatenate(([0.0], running))[starts][node]
+    ends = np.append(starts[1:], values.size)
+    return np.concatenate([
+        np.cumsum(values[start:end]) for start, end in zip(starts.tolist(), ends.tolist())
+    ])[cuts]
+
+
+def _keys(n_rows, n_keys):
+    """A key of -1 per row, in the narrowest signed type that holds n_keys - 1.
+
+    Stable sorts of keys up to 16 bits wide run as numpy's radix sort.
+    """
+    return np.full(n_rows, -1, dtype=np.min_scalar_type(-n_keys))
+
+
+def _regroup(rows, key):
+    """The rows whose key is nonnegative, stably sorted by key."""
+    keys = key[rows]
+    kept = keys >= 0
+    return rows[kept][np.argsort(keys[kept], kind="stable")]
+
+
 class DecisionTreeClassifier:
     """Binary classification tree grown by greedy weighted-Gini splits.
 
@@ -96,6 +159,11 @@ class DecisionTreeClassifier:
     min_impurity_decrease; ties go to the lowest feature index, then the
     lowest threshold, so training is fully deterministic. Leaves predict the
     weighted positive fraction of their training samples.
+
+    The tree grows one depth at a time. Each feature is sorted once per fit,
+    and one pass per feature and depth scores every cut of every open node.
+    The nodes, thresholds and leaf values equal, bit for bit, those of a
+    search that sorts each node's rows on its own.
 
     A fitted tree is held as parallel per-node lists in preorder, the order
     of its JSON document: `feature_` and `threshold_` (-1 and 0.0 at a leaf),
@@ -124,50 +192,6 @@ class DecisionTreeClassifier:
         self.probability_ = self.count_ = None
         self.n_features_in_ = None
 
-    @staticmethod
-    def _gini(w_pos, w_total):
-        p = w_pos / w_total
-        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-    def _best_split(self, X, y, w, rows, parent_gini):
-        """(decrease, feature, threshold) of the best split, or None."""
-        w_rows = w[rows]
-        y_rows = y[rows]
-        w_total = w_rows.sum()
-        w_pos_total = w_rows[y_rows == 1].sum()
-        best = None
-        best_gain = self.min_impurity_decrease
-        for f in range(X.shape[1]):
-            col = X[rows, f]
-            order = np.argsort(col, kind="stable")
-            sv = col[order]
-            cuts = np.flatnonzero(sv[:-1] != sv[1:])
-            if cuts.size == 0:
-                continue
-            sw = w_rows[order]
-            swp = sw * y_rows[order]
-            cum_w = np.cumsum(sw)[cuts]
-            cum_wp = np.cumsum(swp)[cuts]
-            right_w = w_total - cum_w
-            right_wp = w_pos_total - cum_wp
-            valid = (cum_w > 0) & (right_w > 0)
-            if not valid.any():
-                continue
-            with np.errstate(invalid="ignore", divide="ignore"):
-                pl = cum_wp / cum_w
-                pr = right_wp / right_w
-                child = (
-                    cum_w * (1.0 - pl * pl - (1.0 - pl) * (1.0 - pl))
-                    + right_w * (1.0 - pr * pr - (1.0 - pr) * (1.0 - pr))
-                ) / w_total
-            gain = np.where(valid, parent_gini - child, -np.inf)
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                pos = cuts[j]
-                best = (f, (sv[pos] + sv[pos + 1]) / 2.0)
-        return None if best is None else (best_gain, best[0], best[1])
-
     def _reset_nodes(self):
         self.feature_, self.threshold_, self.left_, self.right_ = [], [], [], []
         self.probability_, self.count_ = [], []
@@ -189,33 +213,144 @@ class DecisionTreeClassifier:
             self.right_[right_of] = node
         return node
 
+    def _best_splits(self, columns, by_value, w, wy, sizes, w_total, w_pos, exact):
+        """Best (feature, threshold) of each open node, feature -1 for none.
+
+        `by_value[f]` holds the open nodes' rows, one segment per node in
+        `sizes`, ordered by feature f's value and then by row index. One pass
+        per feature scores every cut of every node, as a per-node search
+        over the node's own sorted rows would.
+        """
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        node_of = np.repeat(np.arange(sizes.size), sizes)
+        # Neighbouring positions in one node: a cut can fall between them.
+        same_node = np.ones(ends[-1] - 1, dtype=bool)
+        same_node[ends[:-1] - 1] = False
+        p = w_pos / w_total
+        parent_gini = 1.0 - p * p - (1.0 - p) * (1.0 - p)
+        best_gain = np.full(sizes.size, self.min_impurity_decrease)
+        best_feature = np.full(sizes.size, -1)
+        best_threshold = np.zeros(sizes.size)
+        for f, rows in enumerate(by_value):
+            values = columns[f][rows]
+            cuts = np.flatnonzero((values[:-1] != values[1:]) & same_node)
+            if cuts.size == 0:
+                continue
+            node = node_of[cuts]
+            left_w = _prefix_at(w[rows], starts, node, cuts, exact)
+            left_wp = _prefix_at(wy[rows], starts, node, cuts, exact)
+            total = w_total[node]
+            right_w = total - left_w
+            right_wp = w_pos[node] - left_wp
+            valid = (left_w > 0) & (right_w > 0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                pl = left_wp / left_w
+                pr = right_wp / right_w
+                child = (
+                    left_w * (1.0 - pl * pl - (1.0 - pl) * (1.0 - pl))
+                    + right_w * (1.0 - pr * pr - (1.0 - pr) * (1.0 - pr))
+                ) / total
+            gain = np.where(valid, parent_gini[node] - child, -np.inf)
+            # Per node with cuts: its first cut, its top gain (NaN if any cut
+            # has NaN, as argmax would pick), and whether the top strictly
+            # beats the best of the lower features.
+            first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+            top = np.maximum.reduceat(gain, first)
+            better = top > best_gain[node[first]]
+            if not better.any():
+                continue
+            n_cuts = np.diff(np.append(first, cuts.size))
+            hit = np.flatnonzero((gain == np.repeat(top, n_cuts)) & np.repeat(better, n_cuts))
+            # The first cut at the top of each node, the one argmax picks.
+            hit_node = node[hit]
+            j = hit[np.concatenate(([True], hit_node[1:] != hit_node[:-1]))]
+            winner = node[j]
+            best_gain[winner] = gain[j]
+            best_feature[winner] = f
+            best_threshold[winner] = (values[cuts[j]] + values[cuts[j] + 1]) / 2.0
+        return best_feature, best_threshold
+
     def fit(self, X, y, sample_weight=None):
         X, y, w = _check_training_inputs(X, y, sample_weight)
+        n_rows = X.shape[0]
         self.n_features_in_ = X.shape[1]
+        exact = _sums_are_exact(w)
+        wy = w * y
+        columns = X.T.copy()
+        # The tree grows one depth at a time. The nodes of a depth own one
+        # segment each, in node order, of `by_row` (their rows in row order)
+        # and of each `by_value[f]` (their rows by feature f's value, ties by
+        # row index). A node's rows thus sit as a per-node stable argsort
+        # would put them, and sorting once per fit suffices.
+        by_row = np.arange(n_rows)
+        by_value = [np.argsort(column, kind="stable") for column in columns]
+        # Nodes in breadth-first order; a split node's children are
+        # `first_child` and the node after it.
+        feature, threshold, probability, count, first_child = [-1], [0.0], [0.0], [0], [-1]
+        ids = np.zeros(1, dtype=np.int64)  # the nodes of this depth
+        sizes = np.array([n_rows])
+        depth = 0
+        while True:
+            w_total, w_pos = _node_totals(w, y, by_row, sizes, exact)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                leaf_probability = w_pos / w_total
+            grow = (sizes >= self.min_samples_split) & (w_pos != 0.0) & (w_pos != w_total)
+            if self.max_depth is not None and depth >= self.max_depth:
+                grow[:] = False
+            split_feature = np.full(ids.size, -1)
+            split_threshold = np.zeros(ids.size)
+            if grow.any():
+                # Drop the rows of the nodes that stop here.
+                key = _keys(n_rows, ids.size)
+                key[by_row] = np.repeat(np.where(grow, np.cumsum(grow) - 1, -1), sizes)
+                by_row = by_row[key[by_row] >= 0]
+                by_value = [_regroup(rows, key) for rows in by_value]
+                split_feature[grow], split_threshold[grow] = self._best_splits(
+                    columns, by_value, w, wy, sizes[grow], w_total[grow], w_pos[grow], exact
+                )
+            split = split_feature >= 0
+            n_split = int(split.sum())
+            children = len(feature) + 2 * np.arange(n_split)
+            for node, value, size in zip(
+                ids[~split].tolist(), leaf_probability[~split].tolist(), sizes[~split].tolist()
+            ):
+                probability[node], count[node] = value, size
+            for node, f, t, child in zip(
+                ids[split].tolist(), split_feature[split].tolist(),
+                split_threshold[split].tolist(), children.tolist(),
+            ):
+                feature[node], threshold[node], first_child[node] = f, t, child
+            if n_split == 0:
+                break
+            for node_list, blank in zip(
+                (feature, threshold, probability, count, first_child), (-1, 0.0, 0.0, 0, -1)
+            ):
+                node_list += [blank] * (2 * n_split)
+            # Send each row of a split node to its left (even) or right (odd)
+            # child; children follow their parents' order.
+            node_of = np.repeat(np.flatnonzero(grow), sizes[grow])
+            moving = split[node_of]
+            rows, node_of = by_row[moving], node_of[moving]
+            goes_left = X[rows, split_feature[node_of]] <= split_threshold[node_of]
+            key = _keys(n_rows, 2 * n_split)
+            key[rows] = 2 * (np.cumsum(split) - 1)[node_of] + ~goes_left
+            by_row = _regroup(rows, key)
+            sizes = np.bincount(key[rows], minlength=2 * n_split)
+            ids = children[0] + np.arange(2 * n_split)
+            depth += 1
+        # Lay the breadth-first nodes out in preorder: popping a left child
+        # before its right sibling visits each subtree whole.
         self._reset_nodes()
-        # Depth-first worklist of (rows, depth, parent id if a right child);
-        # popping the left child first lays the nodes out in preorder.
-        work = [(np.arange(X.shape[0]), 0, -1)]
+        work = [(0, -1)]
         while work:
-            rows, depth, right_of = work.pop()
-            w_rows = w[rows]
-            w_total = w_rows.sum()
-            w_pos = w_rows[y[rows] == 1].sum()
-            stop = (
-                (self.max_depth is not None and depth >= self.max_depth)
-                or rows.size < self.min_samples_split
-                or w_pos == 0.0
-                or w_pos == w_total
+            node, right_of = work.pop()
+            new = self._add_node(
+                feature[node], threshold[node], probability[node], count[node], right_of
             )
-            found = None if stop else self._best_split(X, y, w, rows, self._gini(w_pos, w_total))
-            if found is None:
-                self._add_node(-1, 0.0, float(w_pos / w_total), int(rows.size), right_of)
-                continue
-            _, feature, threshold = found
-            node = self._add_node(feature, float(threshold), 0.0, 0, right_of)
-            goes_left = X[rows, feature] <= threshold
-            work.append((rows[~goes_left], depth + 1, node))
-            work.append((rows[goes_left], depth + 1, -1))
+            if feature[node] >= 0:
+                work.append((first_child[node] + 1, new))
+                work.append((first_child[node], -1))
         return self
 
     def predict_proba(self, X):

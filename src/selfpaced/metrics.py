@@ -114,14 +114,12 @@ def aucprc(labels, scores) -> float:
     is_block_end[:-1] = ranked_scores[:-1] != ranked_scores[1:]
     is_block_end[-1] = True
     block_ends = np.flatnonzero(is_block_end)
-    area = 0.0
-    prev_recall = 0.0
-    for end in block_ends:
-        tp = int(tp_cum[end])
-        recall = tp / n_pos
-        area += (recall - prev_recall) * (tp / (end + 1))
-        prev_recall = recall
-    return area
+    tp = tp_cum[block_ends]
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / (block_ends + 1))
+    # cumsum adds the blocks one after another, in rank order; np.sum's
+    # pairwise order would round differently.
+    return float(np.cumsum(terms)[-1])
 
 
 def stratified_split(data: Dataset, fractions=(0.6, 0.2, 0.2), rng=None):

@@ -188,6 +188,22 @@ def test_predict_rejects_a_ragged_row_without_a_label_column(tmp_path, capsys):
         assert err["error"] == f"{ragged}: row 3 has {cells} cells, expected 2"
 
 
+def test_only_train_and_eval_take_a_positive_label(tmp_path, capsys):
+    data_path = str(tmp_path / "data.csv")
+    model_path = str(tmp_path / "model.json")
+    run_cli(capsys, ["generate", "--seed", "2", "--n-minority", "20",
+                     "--n-majority", "80", "--output", data_path])
+    run_cli(capsys, ["train", "--data", data_path, "--positive-label", "1",
+                     "--n-estimators", "1", "--max-depth", "2", "--output", model_path])
+    run_cli(capsys, ["eval", "--model", model_path, "--data", data_path,
+                     "--positive-label", "1"])
+    # predict reads no labels, so the flag would have no effect.
+    code, err = run_cli_error(capsys, ["predict", "--model", model_path,
+                                       "--data", data_path, "--positive-label", "1"])
+    assert code == 2
+    assert "unrecognized arguments: --positive-label 1" in err["error"]
+
+
 def test_eval_emits_exact_metric_keys(tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
     run_cli(

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import brute_force_aucprc, formula_confusion_scores, random_scored_instance
 from selfpaced.core import Dataset, RandomSource
@@ -164,6 +167,56 @@ def test_aucprc_matches_brute_force_fuzz():
         assert aucprc(1 - labels, 1.0 - scores) == brute_force_aucprc(
             1 - labels, 1.0 - scores
         )
+
+
+def loop_aucprc(labels, scores):
+    """Reference: the block loop `aucprc` ran before it summed with cumsum."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.sum(labels == 1))
+    order = np.argsort(-scores, kind="stable")
+    ranked_scores = scores[order]
+    tp_cum = np.cumsum(labels[order] == 1)
+    is_block_end = np.empty(labels.size, dtype=bool)
+    is_block_end[:-1] = ranked_scores[:-1] != ranked_scores[1:]
+    is_block_end[-1] = True
+    area = 0.0
+    prev_recall = 0.0
+    for end in np.flatnonzero(is_block_end):
+        tp = int(tp_cum[end])
+        recall = tp / n_pos
+        area += (recall - prev_recall) * (tp / (end + 1))
+        prev_recall = recall
+    return area
+
+
+@st.composite
+def tied_scored_instances(draw):
+    size = draw(st.integers(min_value=2, max_value=300))
+    labels = draw(hnp.arrays(np.int64, size, elements=st.integers(0, 1)))
+    labels[:2] = (0, 1)
+    # Few distinct scores, so most blocks hold many rows; sometimes all tied.
+    n_levels = draw(st.integers(min_value=1, max_value=12))
+    levels = st.integers(min_value=0, max_value=n_levels - 1).map(lambda v: v / 11.0)
+    return labels, draw(hnp.arrays(np.float64, size, elements=levels))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(instance=tied_scored_instances())
+def test_aucprc_equals_the_block_loop_bitwise(instance):
+    labels, scores = instance
+    value = aucprc(labels, scores)
+    assert type(value) is float
+    assert value.hex() == loop_aucprc(labels, scores).hex()
+
+
+def test_aucprc_equals_the_block_loop_on_distinct_scores():
+    gen = np.random.default_rng(67)
+    for size in (2, 10, 1000, 20000):
+        labels = gen.integers(0, 2, size=size)
+        labels[:2] = (0, 1)
+        scores = gen.random(size)
+        assert aucprc(labels, scores).hex() == loop_aucprc(labels, scores).hex()
 
 
 def imbalanced_dataset(n_majority=100, n_minority=10):

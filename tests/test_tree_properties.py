@@ -1,12 +1,19 @@
 """Property tests for the decision tree on small random weighted datasets.
 
 Feature values come from a handful of integers, so ties are common, and
-sample weights include zeros. Depths run from 1 to 12 and unlimited.
+sample weights include zeros. Depths run from 1 to 12 and unlimited. The
+level-wise fit is checked bit for bit against the per-node reference fit in
+`tree_reference.py`.
 """
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tree_reference import ReferenceTree
 
+from selfpaced.core import RandomSource
+from selfpaced.data import CheckerboardSpec, generate_checkerboard
 from selfpaced.learners import DecisionTreeClassifier
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
@@ -54,3 +61,83 @@ def test_tree_invariants(data, max_depth):
         assert restored.predict_proba(rows).tolist() == tree.predict_proba(rows).tolist()
 
     assert sum(c for f, c in zip(tree.feature_, tree.count_) if f < 0) == X.shape[0]
+
+
+NODE_LISTS = ("feature_", "threshold_", "left_", "right_", "probability_", "count_")
+# Sums of these are not exact in float64, so a node's sums depend on the
+# order of addition; the dyadic weights above always sum exactly.
+NON_DYADIC = [0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.0]
+
+
+def assert_same_tree(tree, reference):
+    # repr tells -0.0 from 0.0, nan from nan-free values, and np.int64 from int.
+    for name in NODE_LISTS:
+        assert repr(getattr(tree, name)) == repr(getattr(reference, name)), name
+    assert json.dumps(tree.to_json_doc()) == json.dumps(reference.to_json_doc())
+
+
+@st.composite
+def oracle_inputs(draw):
+    n_rows = draw(st.integers(min_value=1, max_value=60))
+    n_features = draw(st.integers(min_value=1, max_value=3))
+    cells = st.integers(min_value=0, max_value=4).map(float)
+    X = np.array(draw(st.lists(
+        st.lists(cells, min_size=n_features, max_size=n_features),
+        min_size=n_rows, max_size=n_rows,
+    )))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)))
+    kind = draw(st.sampled_from(("none", "unit", "dyadic", "non-dyadic", "unit-interval")))
+    if kind == "none":
+        return X, y, None
+    weight = {
+        "unit": st.just(1.0),
+        "dyadic": WEIGHTS,
+        "non-dyadic": st.sampled_from(NON_DYADIC),
+        "unit-interval": st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+        ),
+    }[kind]
+    w = np.array(draw(st.lists(weight, min_size=n_rows, max_size=n_rows)))
+    if w.sum() == 0:
+        w[0] = 1.0
+    if draw(st.booleans()):
+        # Normalized, as AdaBoost passes them.
+        w = w / w.sum()
+    return X, y, w
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    data=oracle_inputs(),
+    max_depth=DEPTHS,
+    min_samples_split=st.integers(min_value=1, max_value=5),
+    min_impurity_decrease=st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.2]),
+)
+def test_level_wise_fit_matches_the_per_node_reference(
+    data, max_depth, min_samples_split, min_impurity_decrease
+):
+    X, y, w = data
+    params = dict(max_depth=max_depth, min_samples_split=min_samples_split,
+                  min_impurity_decrease=min_impurity_decrease)
+    tree = DecisionTreeClassifier(**params).fit(X, y, sample_weight=w)
+    assert_same_tree(tree, ReferenceTree(**params).fit(X, y, sample_weight=w))
+
+
+def test_level_wise_fit_matches_the_reference_on_balanced_bags():
+    # Ensemble-sized inputs: 1000 minority rows plus 1000 drawn majority rows
+    # of the default board, with unit weights at depth 10 and with the
+    # normalized weights of AdaBoost's first round at depth 4.
+    data = generate_checkerboard(CheckerboardSpec(), RandomSource(3))
+    gen = RandomSource(4).generator
+    for bag in range(3):
+        rows = np.concatenate([
+            data.minority_indices,
+            gen.choice(data.majority_indices, data.n_minority, replace=False),
+        ])
+        X, y = data.features[rows], data.labels[rows]
+        tree = DecisionTreeClassifier(max_depth=10).fit(X, y)
+        assert_same_tree(tree, ReferenceTree(max_depth=10).fit(X, y))
+        w = gen.random(rows.size)
+        w = w / w.sum()
+        tree = DecisionTreeClassifier(max_depth=4).fit(X, y, sample_weight=w)
+        assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y, sample_weight=w))

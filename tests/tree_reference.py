@@ -1,0 +1,88 @@
+"""Reference decision-tree fit: the per-node, depth-first split search.
+
+This is the fit `DecisionTreeClassifier` used before it grew level by level.
+It is kept as an oracle: for the same inputs the library's fit must lay out
+the same nodes, bit for bit.
+"""
+import numpy as np
+
+from selfpaced.learners import DecisionTreeClassifier, _check_training_inputs
+
+
+class ReferenceTree(DecisionTreeClassifier):
+    """A tree fitted one node at a time, each node sorting its own rows."""
+
+    @staticmethod
+    def _gini(w_pos, w_total):
+        p = w_pos / w_total
+        return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+
+    def _best_split(self, X, y, w, rows, parent_gini):
+        """(decrease, feature, threshold) of the best split, or None."""
+        w_rows = w[rows]
+        y_rows = y[rows]
+        w_total = w_rows.sum()
+        w_pos_total = w_rows[y_rows == 1].sum()
+        best = None
+        best_gain = self.min_impurity_decrease
+        for f in range(X.shape[1]):
+            col = X[rows, f]
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            cuts = np.flatnonzero(sv[:-1] != sv[1:])
+            if cuts.size == 0:
+                continue
+            sw = w_rows[order]
+            swp = sw * y_rows[order]
+            cum_w = np.cumsum(sw)[cuts]
+            cum_wp = np.cumsum(swp)[cuts]
+            right_w = w_total - cum_w
+            right_wp = w_pos_total - cum_wp
+            valid = (cum_w > 0) & (right_w > 0)
+            if not valid.any():
+                continue
+            with np.errstate(invalid="ignore", divide="ignore"):
+                pl = cum_wp / cum_w
+                pr = right_wp / right_w
+                child = (
+                    cum_w * (1.0 - pl * pl - (1.0 - pl) * (1.0 - pl))
+                    + right_w * (1.0 - pr * pr - (1.0 - pr) * (1.0 - pr))
+                ) / w_total
+            gain = np.where(valid, parent_gini - child, -np.inf)
+            j = int(np.argmax(gain))
+            if gain[j] > best_gain:
+                best_gain = float(gain[j])
+                pos = cuts[j]
+                best = (f, (sv[pos] + sv[pos + 1]) / 2.0)
+        return None if best is None else (best_gain, best[0], best[1])
+
+    def fit(self, X, y, sample_weight=None):
+        X, y, w = _check_training_inputs(X, y, sample_weight)
+        self.n_features_in_ = X.shape[1]
+        self._reset_nodes()
+        # Depth-first worklist of (rows, depth, parent id if a right child);
+        # popping the left child first lays the nodes out in preorder.
+        work = [(np.arange(X.shape[0]), 0, -1)]
+        while work:
+            rows, depth, right_of = work.pop()
+            w_rows = w[rows]
+            w_total = w_rows.sum()
+            w_pos = w_rows[y[rows] == 1].sum()
+            stop = (
+                (self.max_depth is not None and depth >= self.max_depth)
+                or rows.size < self.min_samples_split
+                or w_pos == 0.0
+                or w_pos == w_total
+            )
+            found = None if stop else self._best_split(X, y, w, rows, self._gini(w_pos, w_total))
+            if found is None:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    probability = float(w_pos / w_total)
+                self._add_node(-1, 0.0, probability, int(rows.size), right_of)
+                continue
+            _, feature, threshold = found
+            node = self._add_node(feature, float(threshold), 0.0, 0, right_of)
+            goes_left = X[rows, feature] <= threshold
+            work.append((rows[~goes_left], depth + 1, node))
+            work.append((rows[goes_left], depth + 1, -1))
+        return self
