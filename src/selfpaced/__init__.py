@@ -19,7 +19,6 @@ from .bench import (
     SUITES,
     BenchConfig,
     ResultRow,
-    evaluate_scores,
     run_suite,
     write_results,
 )
@@ -74,6 +73,7 @@ from .metrics import (
     aucprc,
     confusion,
     confusion_scores,
+    metric_report,
     stratified_split,
 )
 from .sampling import (

@@ -20,7 +20,8 @@ from .core import RandomSource, derive_seed
 from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
 from .ensembles import METHODS, fit_method
 from .learners import LearnerSpec
-from .metrics import aucprc, confusion, confusion_scores
+# `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
+from .metrics import aucprc, metric_report  # noqa: F401
 from .sampling import DEFAULT_ALPHA_CAP
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "OVERLAP_COVS",
     "MISSING_RATIOS",
     "CHECKERBOARD_METRICS",
-    "evaluate_scores",
     "run_suite",
     "write_results",
 ]
@@ -101,18 +101,6 @@ class ResultRow:
     errors: tuple = ()
 
 
-def evaluate_scores(test, scores, threshold=0.5) -> dict:
-    """The benchmark metric set for one scored test set."""
-    cm = confusion(test.labels, scores, threshold=threshold)
-    cs = confusion_scores(cm)
-    return {
-        "aucprc": aucprc(test.labels, scores),
-        "f1": cs.f1,
-        "gmean": cs.gmean,
-        "mcc": cs.mcc,
-    }
-
-
 def _dataset_pair(config: BenchConfig, cov: float, repeat: int):
     train_spec = CheckerboardSpec(
         cov_scale=cov,
@@ -141,7 +129,7 @@ def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -
         keep_fp_rate=config.keep_fp_rate,
         seed=derive_seed(config.seed, "fit", repeat),
     )
-    return evaluate_scores(test, model.predict_proba(test.features))
+    return metric_report(test.labels, model.predict_proba(test.features))
 
 
 def _aggregate(config, method, metric, values, errors, param_name=None, param_value=None):

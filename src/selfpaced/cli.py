@@ -26,7 +26,8 @@ from .data import (
 from .ensembles import METHODS, fit_method, load_model, save_model
 from .hardness import HARDNESS_FUNCTIONS
 from .learners import LearnerSpec
-from .metrics import aucprc, confusion, confusion_scores, stratified_split
+# `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
+from .metrics import aucprc, metric_report, stratified_split  # noqa: F401
 
 __all__ = ["main"]
 
@@ -377,20 +378,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _metrics_payload(labels, scores, threshold):
-    cm = confusion(labels, scores, threshold=threshold)
-    cs = confusion_scores(cm)
-    return {
-        "aucprc": aucprc(labels, scores),
-        "f1": cs.f1,
-        "gmean": cs.gmean,
-        "mcc": cs.mcc,
-        "precision": cs.precision,
-        "recall": cs.recall,
-        "threshold": threshold,
-    }
-
-
 def cmd_eval(args) -> int:
     if not args.model:
         raise ValueError("--model is required")
@@ -398,7 +385,7 @@ def cmd_eval(args) -> int:
     data, _ = _load_dataset(args)
     part = _select_split(data, args)
     scores = model.predict_proba(part.features)
-    payload = _metrics_payload(part.labels, scores, args.threshold)
+    payload = metric_report(part.labels, scores, args.threshold)
     _print_json(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -428,7 +415,7 @@ def cmd_metrics(args) -> int:
                 raise ValueError(
                     f"{args.data}: row {line_no} is not a label,score pair: {row!r}"
                 ) from None
-    payload = _metrics_payload(labels, scores, args.threshold)
+    payload = metric_report(labels, scores, args.threshold)
     _print_json(payload)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

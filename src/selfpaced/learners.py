@@ -25,6 +25,12 @@ __all__ = [
 _PERFECT_ROUND_ODDS = 1e10
 
 
+# Rows per block of the batch descent in `DecisionTreeClassifier.predict_proba`.
+# On depth-10 trees, 8192 was as fast as or faster than 4096, 16384 and 32768
+# rows on 500,000 x 2, 11,000 x 2 and 200,000 x 32 inputs; one block of all
+# 500,000 rows took about twice as long.
+_DESCENT_BLOCK = 8192
+
 # A tree node document holding any of these keys is a split node.
 _SPLIT_KEYS = frozenset(("feature", "threshold", "left", "right"))
 
@@ -155,7 +161,8 @@ class DecisionTreeClassifier:
     """Binary classification tree grown by greedy weighted-Gini splits.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    feature values. A split is accepted only if it strictly beats
+    feature values, or the lower value where the midpoint rounds up to the
+    upper one or overflows. A split is accepted only if it strictly beats
     min_impurity_decrease; ties go to the lowest feature index, then the
     lowest threshold, so training is fully deterministic. Leaves predict the
     weighted positive fraction of their training samples.
@@ -172,6 +179,9 @@ class DecisionTreeClassifier:
     weighted positive fraction and training row count, 0.0 and 0 at a split
     node). They hold what the document holds, no more, so a tree read back
     from its document has the lists it was fitted with.
+
+    A batch of rows descends the tree one level at a time over node arrays
+    built from the lists; a single row walks the lists.
     """
 
     def __init__(self, max_depth=10, min_samples_split=2, min_impurity_decrease=0.0):
@@ -190,6 +200,7 @@ class DecisionTreeClassifier:
         self.min_impurity_decrease = min_impurity_decrease
         self.feature_ = self.threshold_ = self.left_ = self.right_ = None
         self.probability_ = self.count_ = None
+        self._descent = None
         self.n_features_in_ = None
 
     def _reset_nodes(self):
@@ -268,7 +279,14 @@ class DecisionTreeClassifier:
             winner = node[j]
             best_gain[winner] = gain[j]
             best_feature[winner] = f
-            best_threshold[winner] = (values[cuts[j]] + values[cuts[j] + 1]) / 2.0
+            lower, upper = values[cuts[j]], values[cuts[j] + 1]
+            with np.errstate(over="ignore"):
+                middle = (lower + upper) / 2.0
+            # A midpoint that rounds up to the upper value, or overflows, would
+            # send every row to one side; the lower value splits as the cut does.
+            best_threshold[winner] = np.where(
+                (lower <= middle) & (middle < upper), middle, lower
+            )
         return best_feature, best_threshold
 
     def fit(self, X, y, sample_weight=None):
@@ -351,30 +369,62 @@ class DecisionTreeClassifier:
             if feature[node] >= 0:
                 work.append((first_child[node] + 1, new))
                 work.append((first_child[node], -1))
+        self._build_descent()
         return self
+
+    def _build_descent(self):
+        """Build the node arrays that the batch descent of `predict_proba` reads.
+
+        A split node's jump takes a row that goes right from the next node to
+        its right child. A leaf gets feature 0, threshold -inf and a jump of
+        -1, so a row that reaches it goes "right" and stays. A NaN threshold,
+        which only a read document can hold, becomes -inf too: no value is
+        `<= nan`, so every row goes right there.
+        """
+        feature = np.array(self.feature_, dtype=np.intp)
+        leaf = feature < 0
+        threshold = np.array(self.threshold_, dtype=np.float64)
+        threshold[leaf | np.isnan(threshold)] = -np.inf
+        jump = np.array(self.right_, dtype=np.intp) - np.arange(1, feature.size + 1)
+        jump[leaf] = -1
+        feature[leaf] = 0
+        depth = [0] * feature.size
+        for node, right in enumerate(self.right_):
+            if right >= 0:
+                depth[node + 1] = depth[right] = depth[node] + 1
+        probability = np.array(self.probability_, dtype=np.float64)
+        self._descent = feature, threshold, jump, probability, max(depth)
 
     def predict_proba(self, X):
         X, single = _check_predict_input(X, self.n_features_in_, self.feature_ is not None)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        # One contiguous array per feature makes each node's gather a 1-D take.
-        columns = X.T.copy()
-        feature, threshold, left, right = self.feature_, self.threshold_, self.left_, self.right_
-        probability = self.probability_
-        # Worklist of (node id, rows that reach it); no empty row set is pushed.
-        work = [(0, np.arange(X.shape[0]))]
-        while work:
-            node, rows = work.pop()
-            f = feature[node]
-            if f < 0:
-                out[rows] = probability[node]
-                continue
-            goes_left = columns[f][rows] <= threshold[node]
-            left_rows = rows[goes_left]
-            if left_rows.size:
-                work.append((left[node], left_rows))
-            if left_rows.size < rows.size:
-                work.append((right[node], rows[~goes_left]))
-        return float(out[0]) if single else out
+        if X.shape[0] == 1:
+            # One row costs less as a walk over the lists than as one array
+            # pass per level.
+            row = X[0].tolist()
+            feature, threshold, right = self.feature_, self.threshold_, self.right_
+            node = 0
+            while feature[node] >= 0:
+                node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
+            score = self.probability_[node]
+            return score if single else np.array([score])
+        # Every row descends one level per pass, in blocks of rows; `flat`
+        # holds a block row after row, so row i's feature f is at
+        # base[i] + f. A row at a leaf stays there.
+        feature, threshold, jump, probability, depth = self._descent
+        n_rows, n_features = X.shape
+        out = np.empty(n_rows, dtype=np.float64)
+        base = np.arange(0, min(n_rows, _DESCENT_BLOCK) * n_features, n_features)
+        for start in range(0, n_rows, _DESCENT_BLOCK):
+            flat = X[start:start + _DESCENT_BLOCK].ravel()
+            size = min(_DESCENT_BLOCK, n_rows - start)
+            offsets = base[:size]
+            node = np.zeros(size, dtype=np.intp)
+            for _ in range(depth):
+                goes_right = flat.take(offsets + feature.take(node)) > threshold.take(node)
+                node += jump.take(node) * goes_right
+                node += 1
+            out[start:start + size] = probability.take(node)
+        return out
 
     def to_json_doc(self):
         if self.feature_ is None:
@@ -434,6 +484,7 @@ class DecisionTreeClassifier:
             raise ValueError(f"malformed tree document: a node has no {err} field") from err
         except (TypeError, ValueError) as err:
             raise ValueError(f"malformed tree document: {err}") from err
+        model._build_descent()
         return model
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "confusion",
     "confusion_scores",
     "aucprc",
+    "metric_report",
     "stratified_split",
 ]
 
@@ -120,6 +121,24 @@ def aucprc(labels, scores) -> float:
     # cumsum adds the blocks one after another, in rank order; np.sum's
     # pairwise order would round differently.
     return float(np.cumsum(terms)[-1])
+
+
+def metric_report(labels, scores, threshold=0.5) -> dict:
+    """AUCPRC plus the confusion scores at `threshold`, and the threshold.
+
+    The one metric set of `eval`, `metrics` and the benchmark cells; its key
+    order is the order of their JSON.
+    """
+    cs = confusion_scores(confusion(labels, scores, threshold=threshold))
+    return {
+        "aucprc": aucprc(labels, scores),
+        "f1": cs.f1,
+        "gmean": cs.gmean,
+        "mcc": cs.mcc,
+        "precision": cs.precision,
+        "recall": cs.recall,
+        "threshold": threshold,
+    }
 
 
 def stratified_split(data: Dataset, fractions=(0.6, 0.2, 0.2), rng=None):

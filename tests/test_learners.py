@@ -1,9 +1,11 @@
 """Base learners: the weighted decision tree, AdaBoost, and the registry."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from tree_reference import ReferenceTree
 
 from selfpaced.learners import (
     LEARNER_REGISTRY,
@@ -157,6 +159,27 @@ def test_tree_unlimited_depth_on_a_deep_chain():
     assert tree.predict_proba(X).tolist() == y.astype(float).tolist()
     assert tree.predict_proba(X[1500]) == 0.0
     assert tree.predict_proba(X[1501]) == 1.0
+
+
+@pytest.mark.parametrize("values", [
+    # Adjacent floats: their midpoint rounds up to the larger one.
+    [np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)],
+    # Their sum overflows, so the midpoint is inf.
+    [1e308, 1.5e308],
+    [-1.5e308, -1e308],
+], ids=["adjacent floats", "overflow", "negative overflow"])
+def test_tree_split_never_leaves_a_child_empty(values):
+    X = np.array(values).reshape(-1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = DecisionTreeClassifier(max_depth=None).fit(X, [0, 1])
+        reference = ReferenceTree(max_depth=None).fit(X, [0, 1])
+    assert len(tree.feature_) == 3
+    assert tree.threshold_[0] == values[0]
+    assert tree.count_ == [0, 1, 1]
+    assert tree.probability_ == [0.0, 0.0, 1.0]
+    assert tree.predict_proba(X).tolist() == [0.0, 1.0]
+    assert repr(reference.threshold_) == repr(tree.threshold_)
 
 
 def test_tree_rejects_non_finite_features():

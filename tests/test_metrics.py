@@ -14,6 +14,7 @@ from selfpaced.metrics import (
     aucprc,
     confusion,
     confusion_scores,
+    metric_report,
     stratified_split,
 )
 
@@ -167,6 +168,21 @@ def test_aucprc_matches_brute_force_fuzz():
         assert aucprc(1 - labels, 1.0 - scores) == brute_force_aucprc(
             1 - labels, 1.0 - scores
         )
+
+
+def test_metric_report_keys_and_values():
+    labels = np.array([1, 0, 1, 0, 0])
+    scores = np.array([0.9, 0.6, 0.4, 0.2, 0.1])
+    report = metric_report(labels, scores, threshold=0.3)
+    assert list(report) == [
+        "aucprc", "f1", "gmean", "mcc", "precision", "recall", "threshold",
+    ]
+    cs = confusion_scores(confusion(labels, scores, threshold=0.3))
+    assert report == {
+        "aucprc": aucprc(labels, scores), "f1": cs.f1, "gmean": cs.gmean,
+        "mcc": cs.mcc, "precision": cs.precision, "recall": cs.recall, "threshold": 0.3,
+    }
+    assert metric_report(labels, scores)["threshold"] == 0.5
 
 
 def loop_aucprc(labels, scores):

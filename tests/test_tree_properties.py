@@ -2,19 +2,19 @@
 
 Feature values come from a handful of integers, so ties are common, and
 sample weights include zeros. Depths run from 1 to 12 and unlimited. The
-level-wise fit is checked bit for bit against the per-node reference fit in
-`tree_reference.py`.
+level-wise fit and the level-wise predict are checked bit for bit against
+the per-node reference fit and the worklist predict in `tree_reference.py`.
 """
 import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tree_reference import ReferenceTree
+from tree_reference import ReferenceTree, reference_predict_proba
 
 from selfpaced.core import RandomSource
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
-from selfpaced.learners import DecisionTreeClassifier
+from selfpaced.learners import _DESCENT_BLOCK, DecisionTreeClassifier
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
@@ -42,6 +42,20 @@ def weighted_datasets(draw):
     return X, y, w, probe
 
 
+def assert_same_scores(tree, rows):
+    # Bytes tell -0.0 from 0.0 and compare NaN payloads.
+    batch = tree.predict_proba(rows)
+    assert batch.tobytes() == reference_predict_proba(tree, rows).tobytes()
+    for row, expected in zip(rows, batch):
+        # One row walks the lists: a scalar for a 1-D row, an array for a
+        # one-row matrix.
+        single = tree.predict_proba(row)
+        assert type(single) is float
+        assert np.float64(single).tobytes() == expected.tobytes()
+        one = tree.predict_proba(row[np.newaxis, :])
+        assert one.shape == (1,) and one.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=weighted_datasets(), max_depth=DEPTHS)
 def test_tree_invariants(data, max_depth):
@@ -49,8 +63,7 @@ def test_tree_invariants(data, max_depth):
     tree = DecisionTreeClassifier(max_depth=max_depth).fit(X, y, sample_weight=w)
 
     for rows in (X, probe):
-        batch = tree.predict_proba(rows)
-        assert [tree.predict_proba(row) for row in rows] == batch.tolist()
+        assert_same_scores(tree, rows)
 
     doc = tree.to_json_doc()
     restored = DecisionTreeClassifier.from_json_doc(doc)
@@ -58,7 +71,7 @@ def test_tree_invariants(data, max_depth):
     for field in ("feature_", "threshold_", "left_", "right_", "probability_", "count_"):
         assert getattr(restored, field) == getattr(tree, field)
     for rows in (X, probe):
-        assert restored.predict_proba(rows).tolist() == tree.predict_proba(rows).tolist()
+        assert_same_scores(restored, rows)
 
     assert sum(c for f, c in zip(tree.feature_, tree.count_) if f < 0) == X.shape[0]
 
@@ -141,3 +154,35 @@ def test_level_wise_fit_matches_the_reference_on_balanced_bags():
         w = w / w.sum()
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y, sample_weight=w)
         assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y, sample_weight=w))
+
+
+def test_predict_of_a_root_leaf_tree():
+    X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
+    tree = DecisionTreeClassifier().fit(X, np.zeros(3, dtype=int))
+    assert tree.feature_ == [-1]
+    assert_same_scores(tree, X)
+    assert tree.predict_proba(np.empty((0, 2))).shape == (0,)
+
+
+def test_predict_of_a_document_with_a_nan_threshold():
+    # Only a read document can hold one; no value is <= NaN, so rows go right.
+    doc = DecisionTreeClassifier(max_depth=2).fit(
+        np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 0])
+    ).to_json_doc()
+    doc["root"]["threshold"] = float("nan")
+    tree = DecisionTreeClassifier.from_json_doc(doc)
+    assert_same_scores(tree, np.array([[-1.0], [0.5], [1.5], [2.5], [4.0]]))
+
+
+def test_level_wise_predict_matches_the_reference_across_row_blocks():
+    # More than two full blocks plus a partial one, on a depth-10 tree of the
+    # default board and on its model document read back.
+    data = generate_checkerboard(CheckerboardSpec(n_majority=3000), RandomSource(5))
+    tree = DecisionTreeClassifier(max_depth=10).fit(data.features, data.labels)
+    rows = RandomSource(6).generator.uniform(-0.5, 4.5, size=(2 * _DESCENT_BLOCK + 123, 2))
+    expected = reference_predict_proba(tree, rows).tobytes()
+    assert tree.predict_proba(rows).tobytes() == expected
+    assert DecisionTreeClassifier.from_json_doc(tree.to_json_doc()).predict_proba(
+        rows).tobytes() == expected
+    # Column-major input is read block by block as well.
+    assert tree.predict_proba(np.asfortranarray(rows)).tobytes() == expected

@@ -1,16 +1,45 @@
-"""Reference decision-tree fit: the per-node, depth-first split search.
+"""Reference decision tree: the per-node, depth-first split search, and a
+predict that splits each node's row set in two.
 
-This is the fit `DecisionTreeClassifier` used before it grew level by level.
-It is kept as an oracle: for the same inputs the library's fit must lay out
-the same nodes, bit for bit.
+These are the fit and the predict `DecisionTreeClassifier` used before it
+grew and scored level by level. They are kept as oracles: for the same
+inputs the library's fit must lay out the same nodes, and its predict must
+give the same scores, bit for bit.
 """
 import numpy as np
 
-from selfpaced.learners import DecisionTreeClassifier, _check_training_inputs
+from selfpaced.learners import (
+    DecisionTreeClassifier,
+    _check_predict_input,
+    _check_training_inputs,
+)
+
+
+def reference_predict_proba(tree, X):
+    """Score rows of `tree` with a worklist of (node, rows that reach it)."""
+    X, single = _check_predict_input(X, tree.n_features_in_, tree.feature_ is not None)
+    out = np.empty(X.shape[0], dtype=np.float64)
+    columns = X.T.copy()
+    work = [(0, np.arange(X.shape[0]))]
+    while work:
+        node, rows = work.pop()
+        f = tree.feature_[node]
+        if f < 0:
+            out[rows] = tree.probability_[node]
+            continue
+        goes_left = columns[f][rows] <= tree.threshold_[node]
+        left_rows = rows[goes_left]
+        if left_rows.size:
+            work.append((tree.left_[node], left_rows))
+        if left_rows.size < rows.size:
+            work.append((tree.right_[node], rows[~goes_left]))
+    return float(out[0]) if single else out
 
 
 class ReferenceTree(DecisionTreeClassifier):
     """A tree fitted one node at a time, each node sorting its own rows."""
+
+    predict_proba = reference_predict_proba
 
     @staticmethod
     def _gini(w_pos, w_total):
@@ -52,8 +81,10 @@ class ReferenceTree(DecisionTreeClassifier):
             j = int(np.argmax(gain))
             if gain[j] > best_gain:
                 best_gain = float(gain[j])
-                pos = cuts[j]
-                best = (f, (sv[pos] + sv[pos + 1]) / 2.0)
+                lower, upper = sv[cuts[j]], sv[cuts[j] + 1]
+                with np.errstate(over="ignore"):
+                    middle = (lower + upper) / 2.0
+                best = (f, middle if lower <= middle < upper else lower)
         return None if best is None else (best_gain, best[0], best[1])
 
     def fit(self, X, y, sample_weight=None):
