@@ -8,11 +8,12 @@ JSON object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from .bench import SUITES, BenchConfig, run_suite, write_results
 from .core import RandomSource
@@ -21,6 +22,7 @@ from .data import (
     generate_checkerboard,
     load_csv,
     load_features,
+    load_table,
     save_csv,
 )
 from .ensembles import METHODS, fit_method, load_model, save_model
@@ -367,8 +369,7 @@ def cmd_predict(args) -> int:
         args.data, _label_column_arg(args.label_column), args.missing_token
     )
     scores = model.predict_proba(features)
-    lines = ["score"] + [f"{score:.17g}" for score in scores]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(["score", *map("{:.17g}".format, scores.tolist())]) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -397,24 +398,21 @@ def cmd_eval(args) -> int:
 def cmd_metrics(args) -> int:
     if not args.data:
         raise ValueError("--data is required")
-    labels = []
-    scores = []
-    with open(args.data, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{args.data}: file is empty; a header row is required")
-        lowered = [cell.strip().lower() for cell in header]
-        label_pos = lowered.index("label") if "label" in lowered else 0
-        score_pos = lowered.index("score") if "score" in lowered else 1
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                labels.append(int(row[label_pos]))
-                scores.append(float(row[score_pos]))
-            except (ValueError, IndexError):
-                raise ValueError(
-                    f"{args.data}: row {line_no} is not a label,score pair: {row!r}"
-                ) from None
+    names, table = load_table(args.data)
+    lowered = [name.strip().lower() for name in names]
+    label_pos = lowered.index("label") if "label" in lowered else 0
+    score_pos = lowered.index("score") if "score" in lowered else 1
+    if max(label_pos, score_pos) >= len(names):
+        raise ValueError(f"{args.data}: expected label and score columns; header: {names}")
+    labels = table[:, label_pos]
+    not_binary = np.flatnonzero((labels != 0) & (labels != 1))
+    if not_binary.size:
+        row = int(not_binary[0])
+        raise ValueError(
+            f"{args.data}: column {names[label_pos]!r} has label {labels[row]} "
+            f"at row {row + 2}; labels must be 0 or 1"
+        )
+    scores = table[:, score_pos]
     payload = metric_report(labels, scores, args.threshold)
     _print_json(payload)
     if args.output:

@@ -181,7 +181,8 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         )
         member = _fit_member(factory, data, chosen, minority)
         members.append(member)
-        score_sum = score_sum + _member_scores(member, majority_X)
+        if i < n:
+            score_sum = score_sum + _member_scores(member, majority_X)
         if log is not None:
             counts = tuple(int(c) for c in partition.counts)
             log.append(IterationLog(i, minority.size, len(chosen), alpha, counts))

@@ -107,17 +107,14 @@ def aucprc(labels, scores) -> float:
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0 or n_pos == labels.size:
         raise ValueError("aucprc requires at least one positive and one negative")
-    order = np.argsort(-scores, kind="stable")
-    ranked_labels = labels[order]
-    ranked_scores = scores[order]
-    tp_cum = np.cumsum(ranked_labels == 1)
-    is_block_end = np.empty(labels.size, dtype=bool)
-    is_block_end[:-1] = ranked_scores[:-1] != ranked_scores[1:]
-    is_block_end[-1] = True
-    block_ends = np.flatnonzero(is_block_end)
-    tp = tp_cum[block_ends]
+    # One block per distinct score, in descending order: its row count and
+    # its positive count give the block end's rank and true positives.
+    distinct, block_of = np.unique(scores, return_inverse=True)
+    rows = np.bincount(block_of, minlength=distinct.size)[::-1]
+    positives = np.bincount(block_of[labels == 1], minlength=distinct.size)[::-1]
+    tp = np.cumsum(positives)
     recall = tp / n_pos
-    terms = np.diff(recall, prepend=0.0) * (tp / (block_ends + 1))
+    terms = np.diff(recall, prepend=0.0) * (tp / np.cumsum(rows))
     # cumsum adds the blocks one after another, in rank order; np.sum's
     # pairwise order would round differently.
     return float(np.cumsum(terms)[-1])

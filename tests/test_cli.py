@@ -267,6 +267,36 @@ def test_metrics_bad_row_is_an_error(tmp_path, capsys):
     assert "row 3" in err["error"]
 
 
+def test_metrics_picks_columns_by_name_then_position(tmp_path, capsys):
+    named = tmp_path / "named.csv"
+    named.write_text("id, Score ,LABEL\n7,0.9,1\n8,0.8,0\n9,0.3,1\n", encoding="utf-8")
+    unnamed = tmp_path / "unnamed.csv"
+    unnamed.write_text("truth,prob\n1,0.9\n0,0.8\n1,0.3\n", encoding="utf-8")
+    assert (run_cli(capsys, ["metrics", "--data", str(named)])
+            == run_cli(capsys, ["metrics", "--data", str(unnamed)]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label,score\n1,0.9\n0,nan\n",
+     "column 'score' has non-finite value nan at row 3"),
+    ("label,score\n1,0.9\n0,0.8,0.1\n1,0.3\n", "row 3 has 3 cells, expected 2"),
+    ("label,score\n1,0.9\n0,\n", "column 'score' has non-numeric value '' at row 3; "
+     "encode categorical columns before loading"),
+    ("label,score\n1,0.9\n2,0.8\n",
+     "column 'label' has label 2.0 at row 3; labels must be 0 or 1"),
+    # Every column is read as a number, not only the label and the score.
+    ("id,label,score\n1,1,0.9\nB7,0,0.8\n", "column 'id' has non-numeric value 'B7' at row 3; "
+     "encode categorical columns before loading"),
+    ("label\n1\n", "expected label and score columns; header: ['label']"),
+])
+def test_metrics_checks_cells_like_the_csv_reader(tmp_path, capsys, text, message):
+    path = tmp_path / "scored.csv"
+    path.write_text(text, encoding="utf-8")
+    code, err = run_cli_error(capsys, ["metrics", "--data", str(path)])
+    assert code == 1
+    assert err["error"] == f"{path}: {message}"
+
+
 def test_bench_mini_run_and_determinism(tmp_path, capsys):
     args = ["bench", "--suite", "checkerboard", "--methods", "rand-under,easy",
             "--repeats", "2", "--n-minority", "15", "--n-majority", "90",

@@ -88,6 +88,30 @@ def test_spe_single_iteration_and_single_bin():
     assert log[1].bin_counts == (600,)
 
 
+@pytest.mark.parametrize("n_estimators", [1, 2, 5])
+def test_spe_scores_the_majority_once_per_member(n_estimators):
+    # The bootstrap learner and members 1..n-1 score the majority rows for
+    # the next iteration's hardness; the last member has no next iteration.
+    majority_calls = []
+
+    def counting_tree():
+        tree = DecisionTreeClassifier(max_depth=4)
+        predict_proba = tree.predict_proba
+
+        def counting_predict_proba(X):
+            if len(X) == BOARD.n_majority:
+                majority_calls.append(tree)
+            return predict_proba(X)
+
+        tree.predict_proba = counting_predict_proba
+        return tree
+
+    model = spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=counting_tree))
+    assert len(majority_calls) == n_estimators
+    assert len(set(map(id, majority_calls))) == n_estimators
+    assert model.members[-1] not in majority_calls
+
+
 def test_spe_is_deterministic():
     config = SpeConfig(n_estimators=4, base_learner=shallow_tree(), seed=3)
     a = model_to_doc(spe_fit(BOARD, config))

@@ -235,6 +235,17 @@ def test_aucprc_equals_the_block_loop_on_distinct_scores():
         assert aucprc(labels, scores).hex() == loop_aucprc(labels, scores).hex()
 
 
+def test_aucprc_equals_the_block_loop_on_many_ties():
+    # Seven distinct scores over 50,000 rows, with 0.0 and -0.0 in one block.
+    gen = np.random.default_rng(71)
+    levels = np.array([0.0, -0.0, 0.125, 0.3, 0.5, 0.75, 0.9, 1.0])
+    for size in (7, 1000, 50000):
+        labels = (gen.random(size) < 0.1).astype(np.int64)
+        labels[:2] = (0, 1)
+        scores = levels[gen.integers(0, levels.size, size=size)]
+        assert aucprc(labels, scores).hex() == loop_aucprc(labels, scores).hex()
+
+
 def imbalanced_dataset(n_majority=100, n_minority=10):
     n = n_majority + n_minority
     features = np.arange(n, dtype=np.float64).reshape(-1, 1)
