@@ -38,12 +38,14 @@ with tempfile.TemporaryDirectory() as tmp_str:
 
     # 2. Train a self-paced ensemble on it. Training always writes a JSON
     #    report next to the model (override the path with --report) carrying
-    #    the per-iteration alphas, bin occupancy, and subset sizes.
+    #    one record per trained learner: subset sizes, alpha, bin occupancy.
     run(["train", "--data", board, "--method", "spe", "--n-estimators", "5",
          "--max-depth", "6", "--seed", "0", "--output", model])
     report = json.loads(Path(model + ".report.json").read_text())
-    print(f"report alphas: {[round(a, 3) for a in report['alphas']]}")
-    print(f"report subset sizes: {report['subset_sizes']}")
+    members = report["iterations"][1:]  # the first record is the bootstrap learner
+    print(f"report alphas: {[round(entry['alpha'], 3) for entry in members]}")
+    print("report subset sizes: "
+          f"{[(entry['n_minority'], entry['n_majority']) for entry in members]}")
     print()
 
     # 3. Score rows with the saved model. The output CSV has one `score`

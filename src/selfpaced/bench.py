@@ -40,18 +40,11 @@ OVERLAP_COVS = (0.05, 0.10, 0.15)
 MISSING_RATIOS = (0.0, 0.25, 0.5, 0.75)
 CHECKERBOARD_METRICS = ("aucprc", "f1", "gmean", "mcc")
 
-_DEFAULT_LEARNER_PARAMS = {
-    "tree": {"max_depth": 10},
-    "adaboost": {"n_estimators": 10, "weak_learner_depth": 1},
-}
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     suite: str = "checkerboard"
     methods: tuple = ("rand-under", "easy", "cascade", "spe")
-    learner: str = "tree"
-    learner_params: dict | None = None
+    base_learner: LearnerSpec = LearnerSpec("tree", {"max_depth": 10})
     n_estimators: int = 10
     k_bins: int = 20
     hardness: str = "absolute"
@@ -73,12 +66,12 @@ class BenchConfig:
                 )
         if int(self.repeats) < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-
-    def learner_spec(self) -> LearnerSpec:
-        params = self.learner_params
-        if params is None:
-            params = _DEFAULT_LEARNER_PARAMS.get(self.learner, {})
-        return LearnerSpec(self.learner, dict(params))
+        # results.json records the learner by name and parameters.
+        if not isinstance(self.base_learner, LearnerSpec):
+            raise ValueError(
+                f"bench needs a named base learner (a LearnerSpec), "
+                f"got {type(self.base_learner).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,7 @@ def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -
     model = fit_method(
         train,
         method,
-        base_learner=config.learner_spec(),
+        base_learner=config.base_learner,
         n_estimators=config.n_estimators,
         k_bins=config.k_bins,
         hardness=config.hardness,
@@ -135,7 +128,7 @@ def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -
 def _aggregate(config, method, metric, values, errors, param_name=None, param_value=None):
     return ResultRow(
         method=method,
-        learner=config.learner,
+        learner=config.base_learner.name,
         metric=metric,
         mean=float(np.mean(values)) if values else float("nan"),
         std=float(np.std(values)) if values else float("nan"),

@@ -98,7 +98,6 @@ def _add_learner_options(sub):
 
 
 def _add_method_options(sub):
-    sub.add_argument("--method", choices=METHODS, default="spe")
     sub.add_argument("--n-estimators", type=int, default=10)
     sub.add_argument("--k-bins", type=int, default=20,
                      help="hardness bins for spe (default: 20)")
@@ -132,6 +131,7 @@ def build_parser():
     sub = register("train", "train an ensemble and write model + report")
     _add_data_options(sub)
     _add_split_options(sub, "train")
+    sub.add_argument("--method", choices=METHODS, default="spe")
     _add_method_options(sub)
     _add_learner_options(sub)
     sub.add_argument("--report", help="report path (default: <output>.report.json)")
@@ -154,18 +154,10 @@ def build_parser():
     sub.add_argument("--suite", choices=SUITES, default="checkerboard")
     sub.add_argument("--methods", default="rand-under,easy,cascade,spe",
                      help="comma-separated method list")
-    sub.add_argument("--learner", choices=("tree", "adaboost"), default="tree")
     sub.add_argument("--repeats", type=int, default=10)
     _add_board_shape_options(sub)
-    sub.add_argument("--n-estimators", type=int, default=10)
-    sub.add_argument("--k-bins", type=int, default=20)
-    sub.add_argument("--hardness", choices=_HARDNESS_CHOICES, default="absolute")
-    sub.add_argument("--alpha-cap", type=float, default=1e9)
-    sub.add_argument("--keep-fp-rate", type=float, default=None)
-    sub.add_argument("--max-depth", type=int, default=10)
-    sub.add_argument("--boost-rounds", type=int, default=10)
-    sub.add_argument("--weak-depth", type=int, default=1)
-    sub.add_argument("--learning-rate", type=float, default=1.0)
+    _add_method_options(sub)
+    _add_learner_options(sub)
 
     return parser, subs
 
@@ -273,8 +265,26 @@ def _learner_from_args(args):
     return _import_factory(args.learner_factory)
 
 
+def _fit_fields(args):
+    """The SpeConfig fields that train and bench read from the same flags."""
+    return {
+        "base_learner": _learner_from_args(args),
+        "n_estimators": args.n_estimators,
+        "k_bins": args.k_bins,
+        "hardness": args.hardness,
+        "alpha_cap": args.alpha_cap,
+        "keep_fp_rate": args.keep_fp_rate,
+    }
+
+
 def _print_json(payload):
     sys.stdout.write(json.dumps(payload) + "\n")
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def cmd_generate(args) -> int:
@@ -289,9 +299,7 @@ def cmd_generate(args) -> int:
     output = args.output or "checkerboard.csv"
     save_csv(data, output)
     meta_path = output + ".meta.json"
-    with open(meta_path, "w", encoding="utf-8") as handle:
-        json.dump({"spec": asdict(spec), "n_samples": data.n_samples}, handle, indent=2)
-        handle.write("\n")
+    _write_json(meta_path, {"spec": asdict(spec), "n_samples": data.n_samples})
     _print_json({
         "path": output,
         "meta_path": meta_path,
@@ -306,18 +314,7 @@ def cmd_train(args) -> int:
     data, source = _load_dataset(args)
     part = _select_split(data, args)
     log = []
-    model = fit_method(
-        part,
-        args.method,
-        base_learner=_learner_from_args(args),
-        n_estimators=args.n_estimators,
-        k_bins=args.k_bins,
-        hardness=args.hardness,
-        alpha_cap=args.alpha_cap,
-        keep_fp_rate=args.keep_fp_rate,
-        seed=args.seed,
-        log=log,
-    )
+    model = fit_method(part, args.method, seed=args.seed, log=log, **_fit_fields(args))
     model_path = args.output or "model.json"
     save_model(model, model_path)
     report = {
@@ -331,25 +328,10 @@ def cmd_train(args) -> int:
         "n_minority": part.n_minority,
         "n_majority": part.n_majority,
         "iterations": [asdict(entry) for entry in log],
-        "subset_sizes": [
-            {"iteration": entry.iteration,
-             "n_minority": entry.n_minority,
-             "n_majority": entry.n_majority}
-            for entry in log
-        ],
         "model_path": str(model_path),
     }
-    if args.method == "spe":
-        report["alphas"] = [entry.alpha for entry in log if entry.alpha is not None]
-        report["bin_occupancy"] = [
-            {"iteration": entry.iteration, "counts": list(entry.bin_counts)}
-            for entry in log
-            if entry.bin_counts is not None
-        ]
     report_path = args.report or f"{model_path}.report.json"
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    _write_json(report_path, report)
     _print_json({
         "model_path": str(model_path),
         "report_path": str(report_path),
@@ -389,9 +371,7 @@ def cmd_eval(args) -> int:
     payload = metric_report(part.labels, scores, args.threshold)
     _print_json(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, payload)
     return 0
 
 
@@ -404,6 +384,9 @@ def cmd_metrics(args) -> int:
     score_pos = lowered.index("score") if "score" in lowered else 1
     if max(label_pos, score_pos) >= len(names):
         raise ValueError(f"{args.data}: expected label and score columns; header: {names}")
+    if label_pos == score_pos:
+        raise ValueError(f"{args.data}: label and score would both be column "
+                         f"{names[label_pos]!r}; header: {names}")
     labels = table[:, label_pos]
     not_binary = np.flatnonzero((labels != 0) & (labels != 1))
     if not_binary.size:
@@ -416,35 +399,21 @@ def cmd_metrics(args) -> int:
     payload = metric_report(labels, scores, args.threshold)
     _print_json(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, payload)
     return 0
 
 
 def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in str(args.methods).split(",") if m.strip())
-    if args.learner == "tree":
-        learner_params = {"max_depth": args.max_depth}
-    else:
-        learner_params = {"n_estimators": args.boost_rounds,
-                          "weak_learner_depth": args.weak_depth,
-                          "learning_rate": args.learning_rate}
     config = BenchConfig(
         suite=args.suite,
         methods=methods,
-        learner=args.learner,
-        learner_params=learner_params,
-        n_estimators=args.n_estimators,
-        k_bins=args.k_bins,
-        hardness=args.hardness,
-        keep_fp_rate=args.keep_fp_rate,
-        alpha_cap=args.alpha_cap,
         repeats=args.repeats,
         seed=args.seed,
         cov=args.cov,
         n_minority=args.n_minority,
         n_majority=args.n_majority,
+        **_fit_fields(args),
     )
     rows = run_suite(config)
     csv_path, json_path = write_results(rows, args.output or "bench-results", config)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _non_finite_cell
+
 __all__ = [
     "DecisionTreeClassifier",
     "AdaBoostClassifier",
@@ -45,11 +47,10 @@ def _doc_field(doc, key, what, convert=None):
 
 
 def _check_finite(X):
-    finite = np.isfinite(X)
-    if not finite.all():
-        row, col = (int(i) for i in np.argwhere(~finite)[0])
+    bad = _non_finite_cell(X)
+    if bad is not None:
         raise ValueError(
-            f"feature values must be finite: row {row}, column {col} holds {X[row, col]}"
+            f"feature values must be finite: row {bad[0]}, column {bad[1]} holds {X[bad]}"
         )
 
 

@@ -54,7 +54,7 @@ def test_criterion_1_checkerboard_ordering():
     means = bench_aucprc_means(
         suite="checkerboard",
         methods=("rand-under", "easy", "cascade", "spe"),
-        learner="tree",
+        base_learner=LearnerSpec("tree", {"max_depth": 10}),
         repeats=10,
         seed=0,
     )
@@ -99,8 +99,7 @@ def test_criterion_2_boosted_stump_margin():
     rows = bench_aucprc_rows(
         suite="checkerboard",
         methods=("none", "rand-under", "spe"),
-        learner="adaboost",
-        learner_params={"n_estimators": 10, "weak_learner_depth": depth},
+        base_learner=LearnerSpec("adaboost", {"n_estimators": 10, "weak_learner_depth": depth}),
         repeats=10,
         seed=0,
     )
@@ -130,7 +129,7 @@ def test_criterion_3_overlap_robustness():
     means = bench_aucprc_means(
         suite="checkerboard",
         methods=("cascade", "spe"),
-        learner="tree",
+        base_learner=LearnerSpec("tree", {"max_depth": 10}),
         n_estimators=50,
         repeats=10,
         seed=0,

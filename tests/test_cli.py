@@ -1,12 +1,21 @@
 """Command line interface: all six subcommands, config files, error paths."""
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from selfpaced.bench import BenchConfig, run_suite
 from selfpaced.cli import main
 from selfpaced.data import load_csv
 from selfpaced.ensembles import load_model
+from selfpaced.learners import LearnerSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_BOARD = [
     "--checkerboard", "--data-seed", "3",
@@ -83,15 +92,18 @@ def test_train_writes_model_and_report(tmp_path, capsys):
     # The 60% training split of a 30/300 board.
     assert report["n_minority"] == 18
     assert report["n_majority"] == 180
-    assert len(report["iterations"]) == 4
-    assert report["alphas"][0] == 0.0
-    assert len(report["alphas"]) == 3
-    assert report["alphas"] == sorted(report["alphas"])
-    assert len(report["bin_occupancy"]) == 3
-    for occupancy in report["bin_occupancy"]:
-        assert sum(occupancy["counts"]) == 180
-    for size in report["subset_sizes"][1:]:
-        assert size["n_minority"] == size["n_majority"] == 18
+    assert not {"alphas", "bin_occupancy", "subset_sizes"} & set(report)
+    # A bootstrap learner without alpha or bins, then the three members.
+    bootstrap, *members = report["iterations"]
+    assert len(members) == 3
+    assert bootstrap["alpha"] is None and bootstrap["bin_counts"] is None
+    alphas = [entry["alpha"] for entry in members]
+    assert None not in alphas
+    assert alphas[0] == 0.0
+    assert alphas == sorted(alphas)
+    for entry in members:
+        assert sum(entry["bin_counts"]) == 180
+        assert entry["n_minority"] == entry["n_majority"] == 18
 
 
 def test_train_split_all_uses_every_row(tmp_path, capsys):
@@ -105,7 +117,7 @@ def test_train_split_all_uses_every_row(tmp_path, capsys):
         (tmp_path / "model.json.report.json").read_text(encoding="utf-8")
     )
     assert report["n_samples"] == 330
-    assert "alphas" not in report
+    assert [entry["alpha"] for entry in report["iterations"]] == [None, None]
 
 
 def test_predict_scores_match_model(tmp_path, capsys):
@@ -288,6 +300,11 @@ def test_metrics_picks_columns_by_name_then_position(tmp_path, capsys):
     ("id,label,score\n1,1,0.9\nB7,0,0.8\n", "column 'id' has non-numeric value 'B7' at row 3; "
      "encode categorical columns before loading"),
     ("label\n1\n", "expected label and score columns; header: ['label']"),
+    # A header naming one column only must not make it both label and score.
+    ("p,label\n0.1,1\n0.9,0\n0.2,1\n",
+     "label and score would both be column 'label'; header: ['p', 'label']"),
+    ("score,x\n0.1,1\n0.9,0\n",
+     "label and score would both be column 'score'; header: ['score', 'x']"),
 ])
 def test_metrics_checks_cells_like_the_csv_reader(tmp_path, capsys, text, message):
     path = tmp_path / "scored.csv"
@@ -317,6 +334,64 @@ def test_bench_mini_run_and_determinism(tmp_path, capsys):
     assert doc["suite"] == "checkerboard"
     assert len(doc["rows"]) == 8
     assert all(len(row["values"]) == 2 for row in doc["rows"])
+
+
+TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",
+              "--n-minority", "15", "--n-majority", "90", "--n-estimators", "2",
+              "--seed", "6"]
+
+
+def test_bench_learner_flags_match_a_bench_config(tmp_path, capsys):
+    run_cli(capsys, [*TINY_BENCH, "--base-learner", "adaboost", "--weak-depth", "2",
+                     "--boost-rounds", "3", "--output", str(tmp_path)])
+    doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
+    config = BenchConfig(
+        methods=("rand-under", "spe"), repeats=2, n_minority=15, n_majority=90,
+        n_estimators=2, seed=6,
+        base_learner=LearnerSpec("adaboost", {"n_estimators": 3, "weak_learner_depth": 2,
+                                              "learning_rate": 1.0}),
+    )
+    expected = [asdict(row) for row in run_suite(config)]
+    assert doc["rows"] == json.loads(json.dumps(expected))
+    assert doc["config"]["base_learner"] == asdict(config.base_learner)
+
+
+def test_bench_refuses_an_external_learner_before_running(tmp_path, capsys):
+    out = tmp_path / "bench"
+    code, err = run_cli_error(capsys, [
+        *TINY_BENCH, "--base-learner", "external",
+        "--learner-factory", "selfpaced.learners:DecisionTreeClassifier",
+        "--output", str(out),
+    ])
+    assert code == 1
+    assert "LearnerSpec" in err["error"]
+    assert not out.exists()
+
+
+def test_bench_config_key_is_base_learner(tmp_path, capsys):
+    old = tmp_path / "old.conf"
+    old.write_text("learner=adaboost\n", encoding="utf-8")
+    code, err = run_cli_error(capsys, [*TINY_BENCH, "--config", str(old),
+                                       "--output", str(tmp_path / "old")])
+    assert code == 1
+    assert "unknown config key 'learner' for command 'bench'" in err["error"]
+
+    new = tmp_path / "new.conf"
+    new.write_text("base_learner=adaboost\n", encoding="utf-8")
+    run_cli(capsys, [*TINY_BENCH, "--config", str(new), "--output", str(tmp_path / "new")])
+    rows = (tmp_path / "new" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(row.split(",")[1] == "adaboost" for row in rows)
+
+
+def test_cli_workflow_demo_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "07_cli_workflow.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_config_file_fills_unset_flags(tmp_path, capsys):
