@@ -176,19 +176,22 @@ def _read_config_file(path):
     return entries
 
 
-def _apply_config_file(parser, sub, args, argv):
-    entries = _read_config_file(args.config)
+def _config_tokens(sub, command, path):
+    """The config file's entries as flags of `sub`, to parse before the user's own."""
     actions = {action.dest: action for action in sub._actions}
-    defaults = {}
-    for key, raw in entries.items():
+    tokens = []
+    for key, raw in _read_config_file(path).items():
         action = actions.get(key)
         if action is None or key in ("help", "config"):
-            raise ValueError(
-                f"unknown config key {key!r} for command {args.command!r}"
-            )
-        defaults[key] = action.type(raw) if callable(action.type) else raw
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+            raise ValueError(f"unknown config key {key!r} for command {command!r}")
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() not in ("true", "false"):
+            raise ValueError(f"config key {key!r} takes true or false, got {raw!r}")
+        elif raw.lower() == "true":
+            tokens.append(flag)
+    return tokens
 
 
 def _label_column_arg(value):
@@ -440,10 +443,13 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser, subs = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args = _apply_config_file(parser, subs[args.command], args, argv)
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(subs[args.command], args.command, args.config)
+            args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         return _DISPATCH[args.command](args)
     except SystemExit:
         raise

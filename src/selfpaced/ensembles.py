@@ -342,9 +342,14 @@ def model_from_doc(doc: dict) -> EnsembleModel:
 
 
 def save_model(model: EnsembleModel, path) -> None:
+    """Write the model document; a model it cannot encode leaves `path` as it was."""
+    doc = model_to_doc(model)
+    try:
+        text = json.dumps(doc, indent=2)
+    except RecursionError as err:
+        raise ValueError("a tree is too deep for the version-1 model document") from err
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_doc(model), handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_model(path) -> EnsembleModel:

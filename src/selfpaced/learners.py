@@ -173,13 +173,13 @@ class DecisionTreeClassifier:
     The nodes, thresholds and leaf values equal, bit for bit, those of a
     search that sorts each node's rows on its own.
 
-    A fitted tree is held as parallel per-node lists in preorder, the order
-    of its JSON document: `feature_` and `threshold_` (-1 and 0.0 at a leaf),
-    `left_` and `right_` (child node ids, -1 at a leaf; a split node's left
-    child is the next node), and `probability_` and `count_` (a leaf's
-    weighted positive fraction and training row count, 0.0 and 0 at a split
-    node). They hold what the document holds, no more, so a tree read back
-    from its document has the lists it was fitted with.
+    A fitted tree is held as parallel per-node lists in breadth-first order,
+    the order the fit creates its nodes in: `feature_` and `threshold_` (-1
+    and 0.0 at a leaf), `children_` (a split node's left child c, whose right
+    sibling is c + 1; -1 at a leaf), and `probability_` and `count_` (a
+    leaf's weighted positive fraction and training row count, 0.0 and 0 at a
+    split node). They hold what the JSON document holds, no more, so a tree
+    read back from its document has the lists it was fitted with.
 
     A batch of rows descends the tree one level at a time over node arrays
     built from the lists; a single row walks the lists.
@@ -199,31 +199,10 @@ class DecisionTreeClassifier:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.feature_ = self.threshold_ = self.left_ = self.right_ = None
+        self.feature_ = self.threshold_ = self.children_ = None
         self.probability_ = self.count_ = None
         self._descent = None
         self.n_features_in_ = None
-
-    def _reset_nodes(self):
-        self.feature_, self.threshold_, self.left_, self.right_ = [], [], [], []
-        self.probability_, self.count_ = [], []
-
-    def _add_node(self, feature, threshold, probability, count, right_of):
-        """Append a node in preorder and return its id.
-
-        A split node's left child is the node after it, so only a right child
-        has to be linked back to its parent (`right_of`, or -1).
-        """
-        node = len(self.feature_)
-        self.feature_.append(feature)
-        self.threshold_.append(threshold)
-        self.left_.append(-1 if feature < 0 else node + 1)
-        self.right_.append(-1)
-        self.probability_.append(probability)
-        self.count_.append(count)
-        if right_of >= 0:
-            self.right_[right_of] = node
-        return node
 
     def _best_splits(self, columns, by_value, w, wy, sizes, w_total, w_pos, exact):
         """Best (feature, threshold) of each open node, feature -1 for none.
@@ -305,8 +284,8 @@ class DecisionTreeClassifier:
         by_row = np.arange(n_rows)
         by_value = [np.argsort(column, kind="stable") for column in columns]
         # Nodes in breadth-first order; a split node's children are
-        # `first_child` and the node after it.
-        feature, threshold, probability, count, first_child = [-1], [0.0], [0.0], [0], [-1]
+        # `children[node]` and the node after it.
+        feature, threshold, probability, count, children = [-1], [0.0], [0.0], [0], [-1]
         ids = np.zeros(1, dtype=np.int64)  # the nodes of this depth
         sizes = np.array([n_rows])
         depth = 0
@@ -330,20 +309,20 @@ class DecisionTreeClassifier:
                 )
             split = split_feature >= 0
             n_split = int(split.sum())
-            children = len(feature) + 2 * np.arange(n_split)
+            first_child = len(feature) + 2 * np.arange(n_split)
             for node, value, size in zip(
                 ids[~split].tolist(), leaf_probability[~split].tolist(), sizes[~split].tolist()
             ):
                 probability[node], count[node] = value, size
             for node, f, t, child in zip(
                 ids[split].tolist(), split_feature[split].tolist(),
-                split_threshold[split].tolist(), children.tolist(),
+                split_threshold[split].tolist(), first_child.tolist(),
             ):
-                feature[node], threshold[node], first_child[node] = f, t, child
+                feature[node], threshold[node], children[node] = f, t, child
             if n_split == 0:
                 break
             for node_list, blank in zip(
-                (feature, threshold, probability, count, first_child), (-1, 0.0, 0.0, 0, -1)
+                (feature, threshold, probability, count, children), (-1, 0.0, 0.0, 0, -1)
             ):
                 node_list += [blank] * (2 * n_split)
             # Send each row of a split node to its left (even) or right (odd)
@@ -356,45 +335,35 @@ class DecisionTreeClassifier:
             key[rows] = 2 * (np.cumsum(split) - 1)[node_of] + ~goes_left
             by_row = _regroup(rows, key)
             sizes = np.bincount(key[rows], minlength=2 * n_split)
-            ids = children[0] + np.arange(2 * n_split)
+            ids = first_child[0] + np.arange(2 * n_split)
             depth += 1
-        # Lay the breadth-first nodes out in preorder: popping a left child
-        # before its right sibling visits each subtree whole.
-        self._reset_nodes()
-        work = [(0, -1)]
-        while work:
-            node, right_of = work.pop()
-            new = self._add_node(
-                feature[node], threshold[node], probability[node], count[node], right_of
-            )
-            if feature[node] >= 0:
-                work.append((first_child[node] + 1, new))
-                work.append((first_child[node], -1))
+        self.feature_, self.threshold_, self.children_ = feature, threshold, children
+        self.probability_, self.count_ = probability, count
         self._build_descent()
         return self
 
     def _build_descent(self):
         """Build the node arrays that the batch descent of `predict_proba` reads.
 
-        A split node's jump takes a row that goes right from the next node to
-        its right child. A leaf gets feature 0, threshold -inf and a jump of
-        -1, so a row that reaches it goes "right" and stays. A NaN threshold,
-        which only a read document can hold, becomes -inf too: no value is
-        `<= nan`, so every row goes right there.
+        A row at a node moves to `child + 1 - goes_left`. A leaf gets feature
+        0, threshold +inf and itself as child, so a row that reaches it goes
+        "left" and stays. A NaN threshold, which only a read document can
+        hold, sends every row right, as no value is `<= nan`.
         """
         feature = np.array(self.feature_, dtype=np.intp)
         leaf = feature < 0
         threshold = np.array(self.threshold_, dtype=np.float64)
-        threshold[leaf | np.isnan(threshold)] = -np.inf
-        jump = np.array(self.right_, dtype=np.intp) - np.arange(1, feature.size + 1)
-        jump[leaf] = -1
+        threshold[leaf] = np.inf
+        child = np.array(self.children_, dtype=np.intp)
+        child[leaf] = np.flatnonzero(leaf)
         feature[leaf] = 0
+        # Breadth-first order: the last node is one of the deepest.
         depth = [0] * feature.size
-        for node, right in enumerate(self.right_):
-            if right >= 0:
-                depth[node + 1] = depth[right] = depth[node] + 1
+        for node, first in enumerate(self.children_):
+            if first >= 0:
+                depth[first] = depth[first + 1] = depth[node] + 1
         probability = np.array(self.probability_, dtype=np.float64)
-        self._descent = feature, threshold, jump, probability, max(depth)
+        self._descent = feature, threshold, child, probability, depth[-1]
 
     def predict_proba(self, X):
         X, single = _check_predict_input(X, self.n_features_in_, self.feature_ is not None)
@@ -402,16 +371,18 @@ class DecisionTreeClassifier:
             # One row costs less as a walk over the lists than as one array
             # pass per level.
             row = X[0].tolist()
-            feature, threshold, right = self.feature_, self.threshold_, self.right_
+            feature, threshold, children = self.feature_, self.threshold_, self.children_
             node = 0
             while feature[node] >= 0:
-                node = node + 1 if row[feature[node]] <= threshold[node] else right[node]
+                child = children[node]
+                # Not `>`: no value is <= a NaN threshold, so a row goes right.
+                node = child if row[feature[node]] <= threshold[node] else child + 1
             score = self.probability_[node]
             return score if single else np.array([score])
         # Every row descends one level per pass, in blocks of rows; `flat`
         # holds a block row after row, so row i's feature f is at
         # base[i] + f. A row at a leaf stays there.
-        feature, threshold, jump, probability, depth = self._descent
+        feature, threshold, child, probability, depth = self._descent
         n_rows, n_features = X.shape
         out = np.empty(n_rows, dtype=np.float64)
         base = np.arange(0, min(n_rows, _DESCENT_BLOCK) * n_features, n_features)
@@ -421,17 +392,17 @@ class DecisionTreeClassifier:
             offsets = base[:size]
             node = np.zeros(size, dtype=np.intp)
             for _ in range(depth):
-                goes_right = flat.take(offsets + feature.take(node)) > threshold.take(node)
-                node += jump.take(node) * goes_right
-                node += 1
+                goes_left = flat.take(offsets + feature.take(node)) <= threshold.take(node)
+                node = child.take(node) + 1
+                node -= goes_left
             out[start:start + size] = probability.take(node)
         return out
 
     def to_json_doc(self):
         if self.feature_ is None:
             raise ValueError("cannot serialize an unfitted tree")
-        # Children follow their parent in preorder, so walking the nodes
-        # backwards finds both child documents already built.
+        # Children follow their parent in breadth-first order, so walking the
+        # nodes backwards finds both child documents already built.
         docs = [None] * len(self.feature_)
         for node in range(len(docs) - 1, -1, -1):
             feature = self.feature_[node]
@@ -441,8 +412,8 @@ class DecisionTreeClassifier:
                 docs[node] = {
                     "feature": feature,
                     "threshold": self.threshold_[node],
-                    "left": docs[self.left_[node]],
-                    "right": docs[self.right_[node]],
+                    "left": docs[self.children_[node]],
+                    "right": docs[self.children_[node] + 1],
                 }
         return {
             "kind": "tree",
@@ -461,30 +432,38 @@ class DecisionTreeClassifier:
             raise ValueError(f"expected a tree document, got kind={doc.get('kind')!r}")
         model = _doc_field(doc, "params", "tree", lambda params: cls(**params))
         model.n_features_in_ = _doc_field(doc, "n_features", "tree", int)
-        model._reset_nodes()
         n_features = model.n_features_in_
-        # Preorder walk of the nested nodes: (node document, parent id if a
-        # right child).
-        work = [(_doc_field(doc, "root", "tree"), -1)]
+        feature, threshold, children, probability, count = [], [], [], [], []
+        # The node documents in breadth-first order: node i is queue[i], and
+        # a split node appends its children as it is read.
+        queue = [_doc_field(doc, "root", "tree")]
         try:
-            while work:
-                node_doc, right_of = work.pop()
+            for node_doc in queue:
                 if not isinstance(node_doc, dict):
                     raise ValueError(f"node {node_doc!r} is not an object")
                 if _SPLIT_KEYS.isdisjoint(node_doc):
-                    model._add_node(-1, 0.0, float(node_doc["probability"]),
-                                    int(node_doc["count"]), right_of)
+                    feature.append(-1)
+                    threshold.append(0.0)
+                    children.append(-1)
+                    probability.append(float(node_doc["probability"]))
+                    count.append(int(node_doc["count"]))
                     continue
-                feature = int(node_doc["feature"])
-                if not 0 <= feature < n_features:
-                    raise ValueError(f"feature {feature} outside [0, {n_features})")
-                node = model._add_node(feature, float(node_doc["threshold"]), 0.0, 0, right_of)
-                work.append((node_doc["right"], node))
-                work.append((node_doc["left"], -1))
+                f = int(node_doc["feature"])
+                if not 0 <= f < n_features:
+                    raise ValueError(f"feature {f} outside [0, {n_features})")
+                feature.append(f)
+                threshold.append(float(node_doc["threshold"]))
+                children.append(len(queue))
+                probability.append(0.0)
+                count.append(0)
+                queue.append(node_doc["left"])
+                queue.append(node_doc["right"])
         except KeyError as err:
             raise ValueError(f"malformed tree document: a node has no {err} field") from err
         except (TypeError, ValueError) as err:
             raise ValueError(f"malformed tree document: {err}") from err
+        model.feature_, model.threshold_, model.children_ = feature, threshold, children
+        model.probability_, model.count_ = probability, count
         model._build_descent()
         return model
 

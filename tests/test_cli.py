@@ -437,6 +437,38 @@ def test_config_file_malformed_line(tmp_path, capsys):
     assert "expected key=value" in err["error"]
 
 
+def test_config_file_switch_takes_true_or_false(tmp_path, capsys):
+    config = tmp_path / "train.conf"
+    board = "n_minority=10\nn_majority=50\nn_estimators=2\n"
+    config.write_text(f"checkerboard=false\n{board}", encoding="utf-8")
+    code, err = run_cli_error(capsys, ["train", "--config", str(config)])
+    assert code == 1
+    assert "no input data" in err["error"]
+
+    config.write_text(f"checkerboard=True\n{board}", encoding="utf-8")
+    payload = run_cli(capsys, ["train", "--config", str(config),
+                               "--output", str(tmp_path / "model.json")])
+    assert payload["members"] == 2
+
+    config.write_text("checkerboard=yes\n", encoding="utf-8")
+    code, err = run_cli_error(capsys, ["train", "--config", str(config)])
+    assert code == 1
+    assert "config key 'checkerboard' takes true or false, got 'yes'" in err["error"]
+
+
+def test_config_file_values_pass_the_flag_checks(tmp_path, capsys):
+    config = tmp_path / "train.conf"
+    config.write_text("base_learner=svm\n", encoding="utf-8")
+    code, err = run_cli_error(capsys, ["train", "--checkerboard", "--config", str(config)])
+    assert code == 2
+    assert "--base-learner: invalid choice: 'svm'" in err["error"]
+
+    config.write_text("n_minority=ten\n", encoding="utf-8")
+    code, err = run_cli_error(capsys, ["train", "--checkerboard", "--config", str(config)])
+    assert code == 2
+    assert "--n-minority: invalid int value: 'ten'" in err["error"]
+
+
 def test_argparse_errors_exit_2_with_json(capsys):
     code, err = run_cli_error(capsys, ["train", "--method", "bogus"])
     assert code == 2

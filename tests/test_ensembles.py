@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfpaced.core import Dataset
+from selfpaced.core import Dataset, EnsembleModel
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
 from selfpaced.ensembles import (
     METHODS,
@@ -354,6 +354,28 @@ def test_model_file_round_trip(tmp_path):
     probe = BOARD.features[:40]
     assert np.array_equal(model.predict_proba(probe), restored.predict_proba(probe))
     assert restored.method == "easy"
+
+
+def test_saving_a_too_deep_tree_leaves_the_file_as_it_was(tmp_path):
+    # A chain of 3000 splits, one JSON object per level, is deeper than the
+    # encoder can nest.
+    node = {"probability": 0.0, "count": 1}
+    for level in range(3000):
+        node = {"feature": 0, "threshold": float(level),
+                "left": {"probability": 1.0, "count": 1}, "right": node}
+    tree = DecisionTreeClassifier.from_json_doc(
+        {"kind": "tree", "params": {"max_depth": None}, "n_features": 1, "root": node}
+    )
+    model = EnsembleModel([tree], "none")
+    path = tmp_path / "model.json"
+    save_model(easy_fit(BOARD, SpeConfig(n_estimators=1, base_learner=shallow_tree())), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="too deep for the version-1 model document"):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="too deep"):
+        save_model(model, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_adaboost_base_learner_works_end_to_end():

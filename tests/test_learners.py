@@ -154,7 +154,8 @@ def test_tree_unlimited_depth_on_a_deep_chain():
     depth = [0] * len(tree.feature_)
     for node, feature in enumerate(tree.feature_):
         if feature >= 0:
-            depth[tree.left_[node]] = depth[tree.right_[node]] = depth[node] + 1
+            child = tree.children_[node]
+            depth[child] = depth[child + 1] = depth[node] + 1
     assert max(depth) == n - 1
     assert tree.predict_proba(X).tolist() == y.astype(float).tolist()
     assert tree.predict_proba(X[1500]) == 0.0

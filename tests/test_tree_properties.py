@@ -18,6 +18,7 @@ from selfpaced.learners import _DESCENT_BLOCK, DecisionTreeClassifier
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
+NODE_LISTS = ("feature_", "threshold_", "children_", "probability_", "count_")
 
 
 @st.composite
@@ -65,18 +66,28 @@ def test_tree_invariants(data, max_depth):
     for rows in (X, probe):
         assert_same_scores(tree, rows)
 
+    # Breadth-first layout: a split's children are c and c + 1, after the
+    # split, and every node but the root is the child of exactly one split.
+    parents = [0] * len(tree.feature_)
+    for node, (feature, child) in enumerate(zip(tree.feature_, tree.children_)):
+        assert (child == -1) == (feature < 0)
+        if child >= 0:
+            assert node < child and child + 1 < len(parents)
+            parents[child] += 1
+            parents[child + 1] += 1
+    assert parents == [0] + [1] * (len(parents) - 1)
+
     doc = tree.to_json_doc()
     restored = DecisionTreeClassifier.from_json_doc(doc)
     assert restored.to_json_doc() == doc
-    for field in ("feature_", "threshold_", "left_", "right_", "probability_", "count_"):
-        assert getattr(restored, field) == getattr(tree, field)
+    for name in NODE_LISTS:
+        assert getattr(restored, name) == getattr(tree, name)
     for rows in (X, probe):
         assert_same_scores(restored, rows)
 
     assert sum(c for f, c in zip(tree.feature_, tree.count_) if f < 0) == X.shape[0]
 
 
-NODE_LISTS = ("feature_", "threshold_", "left_", "right_", "probability_", "count_")
 # Sums of these are not exact in float64, so a node's sums depend on the
 # order of addition; the dyadic weights above always sum exactly.
 NON_DYADIC = [0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.0]

@@ -1,11 +1,13 @@
-"""Reference decision tree: the per-node, depth-first split search, and a
-predict that splits each node's row set in two.
+"""Reference decision tree: the per-node split search, and a predict that
+splits each node's row set in two.
 
 These are the fit and the predict `DecisionTreeClassifier` used before it
 grew and scored level by level. They are kept as oracles: for the same
 inputs the library's fit must lay out the same nodes, and its predict must
 give the same scores, bit for bit.
 """
+from collections import deque
+
 import numpy as np
 
 from selfpaced.learners import (
@@ -30,9 +32,9 @@ def reference_predict_proba(tree, X):
         goes_left = columns[f][rows] <= tree.threshold_[node]
         left_rows = rows[goes_left]
         if left_rows.size:
-            work.append((tree.left_[node], left_rows))
+            work.append((tree.children_[node], left_rows))
         if left_rows.size < rows.size:
-            work.append((tree.right_[node], rows[~goes_left]))
+            work.append((tree.children_[node] + 1, rows[~goes_left]))
     return float(out[0]) if single else out
 
 
@@ -90,12 +92,13 @@ class ReferenceTree(DecisionTreeClassifier):
     def fit(self, X, y, sample_weight=None):
         X, y, w = _check_training_inputs(X, y, sample_weight)
         self.n_features_in_ = X.shape[1]
-        self._reset_nodes()
-        # Depth-first worklist of (rows, depth, parent id if a right child);
-        # popping the left child first lays the nodes out in preorder.
-        work = [(np.arange(X.shape[0]), 0, -1)]
+        nodes = ([], [], [], [], [])
+        self.feature_, self.threshold_, self.children_, self.probability_, self.count_ = nodes
+        # First-in first-out queue of (rows, depth): nodes are laid out in
+        # breadth-first order, and a node's id is its place in that order.
+        work = deque([(np.arange(X.shape[0]), 0)])
         while work:
-            rows, depth, right_of = work.pop()
+            rows, depth = work.popleft()
             w_rows = w[rows]
             w_total = w_rows.sum()
             w_pos = w_rows[y[rows] == 1].sum()
@@ -109,11 +112,15 @@ class ReferenceTree(DecisionTreeClassifier):
             if found is None:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     probability = float(w_pos / w_total)
-                self._add_node(-1, 0.0, probability, int(rows.size), right_of)
+                for node_list, value in zip(nodes, (-1, 0.0, -1, probability, int(rows.size))):
+                    node_list.append(value)
                 continue
             _, feature, threshold = found
-            node = self._add_node(feature, float(threshold), 0.0, 0, right_of)
+            # The queued nodes come first, then this node's children.
+            first_child = len(self.feature_) + 1 + len(work)
+            for node_list, value in zip(nodes, (feature, float(threshold), first_child, 0.0, 0)):
+                node_list.append(value)
             goes_left = X[rows, feature] <= threshold
-            work.append((rows[~goes_left], depth + 1, node))
-            work.append((rows[goes_left], depth + 1, -1))
+            work.append((rows[goes_left], depth + 1))
+            work.append((rows[~goes_left], depth + 1))
         return self
