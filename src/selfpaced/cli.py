@@ -420,14 +420,16 @@ def cmd_bench(args) -> int:
     )
     rows = run_suite(config)
     csv_path, json_path = write_results(rows, args.output or "bench-results", config)
-    failed = sum(1 for row in rows if row.errors)
+    failed = [row for row in rows if row.errors]
     _print_json({
         "suite": config.suite,
         "rows": len(rows),
-        "rows_with_errors": failed,
+        "rows_with_errors": len(failed),
         "csv": str(csv_path),
         "json": str(json_path),
     })
+    if failed:
+        _emit_error(f"method {failed[0].method} failed in {failed[0].errors[0]}", 1)
     return 0
 
 

@@ -30,6 +30,32 @@ def _non_finite_cell(features):
     return int(row), int(column)
 
 
+def _check_features(features):
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D matrix, got ndim={features.ndim}")
+    bad = _non_finite_cell(features)
+    if bad is not None:
+        raise ValueError(
+            f"features must be finite: row {bad[0]}, column {bad[1]} holds {features[bad]}"
+        )
+
+
+def _check_predict_input(X, n_features, fitted):
+    """X as a checked float64 matrix, and whether it was one 1-D row; any width for None."""
+    if not fitted:
+        raise ValueError("model has not been fitted")
+    X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 1
+    if single:
+        X = X[np.newaxis, :]
+    if X.ndim != 2:
+        raise ValueError(f"expected a feature row or matrix, got ndim={X.ndim}")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(f"model expects {n_features} features, got {X.shape[1]}")
+    _check_features(X)
+    return X, single
+
+
 class Dataset:
     """Immutable feature matrix with aligned binary labels.
 
@@ -40,13 +66,7 @@ class Dataset:
 
     def __init__(self, features, labels, feature_names=None):
         features = np.array(features, dtype=np.float64, order="C")
-        if features.ndim != 2:
-            raise ValueError(f"features must be a 2-D matrix, got ndim={features.ndim}")
-        bad = _non_finite_cell(features)
-        if bad is not None:
-            raise ValueError(
-                f"features must be finite: row {bad[0]}, column {bad[1]} holds {features[bad]}"
-            )
+        _check_features(features)
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError(f"labels must be a 1-D sequence, got ndim={labels.ndim}")
@@ -195,10 +215,6 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
     return int(gen.integers(0, 2**63))
 
 
-def _member_arity(member):
-    return getattr(member, "n_features_in_", None)
-
-
 class MeanScorer:
     """Scores by averaging member positive-class probabilities.
 
@@ -210,7 +226,7 @@ class MeanScorer:
         members = tuple(members)
         if not members:
             raise ValueError("an ensemble needs at least one member")
-        arities = {a for a in map(_member_arity, members) if a is not None}
+        arities = {getattr(member, "n_features_in_", None) for member in members} - {None}
         if len(arities) > 1:
             raise ValueError(f"members disagree on feature count: {sorted(arities)}")
         self.members = members
@@ -218,19 +234,12 @@ class MeanScorer:
 
     def predict_proba(self, X):
         """Mean positive-class probability; 1-D input yields a scalar."""
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[np.newaxis, :]
-        if X.ndim != 2:
-            raise ValueError(f"expected a feature row or matrix, got ndim={X.ndim}")
-        if self.n_features_in_ is not None and X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"model expects {self.n_features_in_} features, got {X.shape[1]}"
-            )
+        X, single = _check_predict_input(X, self.n_features_in_, True)
         total = np.zeros(X.shape[0], dtype=np.float64)
         for member in self.members:
-            scores = np.asarray(member.predict_proba(X), dtype=np.float64)
+            # Built-in members score the checked matrix without a second check.
+            score_rows = getattr(member, "_score_rows", member.predict_proba)
+            scores = np.asarray(score_rows(X), dtype=np.float64)
             if scores.shape != (X.shape[0],):
                 raise ValueError(
                     f"member returned scores of shape {scores.shape}, "

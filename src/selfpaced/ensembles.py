@@ -73,9 +73,8 @@ def _start(data: Dataset, config):
 
 def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
     rows = np.concatenate([np.asarray(majority_rows), np.asarray(minority_rows)])
-    subset = data.subset(rows)
     member = factory()
-    member.fit(subset.features, subset.labels)
+    member.fit(data.features[rows], data.labels[rows])
     return member
 
 
@@ -354,4 +353,7 @@ def save_model(model: EnsembleModel, path) -> None:
 
 def load_model(path) -> EnsembleModel:
     with open(path, encoding="utf-8") as handle:
-        return model_from_doc(json.load(handle))
+        try:
+            return model_from_doc(json.load(handle))
+        except RecursionError as err:
+            raise ValueError("model document is nested too deep to decode") from err

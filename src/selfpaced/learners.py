@@ -4,6 +4,8 @@ The classifier contract used across the package: `fit(X, y, sample_weight=None)`
 returning self, `predict_proba(X)` returning the positive-class probability
 per row (a scalar for a single 1-D row), and an `n_features_in_` attribute set
 by fit. Any object honoring it can serve as an ensemble base learner.
+The built-in ones also score a checked float64 matrix through a private
+`_score_rows(X)`, which ensembles and boosters call without a second check.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _non_finite_cell
+from .core import _check_features, _check_predict_input
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -27,7 +29,7 @@ __all__ = [
 _PERFECT_ROUND_ODDS = 1e10
 
 
-# Rows per block of the batch descent in `DecisionTreeClassifier.predict_proba`.
+# Rows per block of the batch descent in `DecisionTreeClassifier._score_rows`.
 # On depth-10 trees, 8192 was as fast as or faster than 4096, 16384 and 32768
 # rows on 500,000 x 2, 11,000 x 2 and 200,000 x 32 inputs; one block of all
 # 500,000 rows took about twice as long.
@@ -46,21 +48,11 @@ def _doc_field(doc, key, what, convert=None):
         raise ValueError(f"malformed {what} document: missing or invalid {key!r}") from err
 
 
-def _check_finite(X):
-    bad = _non_finite_cell(X)
-    if bad is not None:
-        raise ValueError(
-            f"feature values must be finite: row {bad[0]}, column {bad[1]} holds {X[bad]}"
-        )
-
-
 def _check_training_inputs(X, y, sample_weight):
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-D matrix, got ndim={X.ndim}")
+    _check_features(X)
     if X.shape[0] == 0:
         raise ValueError("training data must be nonempty")
-    _check_finite(X)
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
@@ -78,21 +70,6 @@ def _check_training_inputs(X, y, sample_weight):
         if w.sum() <= 0:
             raise ValueError("sample weights must not all be zero")
     return X, y, w
-
-
-def _check_predict_input(X, n_features, fitted):
-    if not fitted:
-        raise ValueError("model has not been fitted")
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[np.newaxis, :]
-    if X.ndim != 2:
-        raise ValueError(f"expected a feature row or matrix, got ndim={X.ndim}")
-    if X.shape[1] != n_features:
-        raise ValueError(f"model expects {n_features} features, got {X.shape[1]}")
-    _check_finite(X)
-    return X, single
 
 
 def _sums_are_exact(w):
@@ -343,7 +320,7 @@ class DecisionTreeClassifier:
         return self
 
     def _build_descent(self):
-        """Build the node arrays that the batch descent of `predict_proba` reads.
+        """Build the node arrays that the batch descent of `_score_rows` reads.
 
         A row at a node moves to `child + 1 - goes_left`. A leaf gets feature
         0, threshold +inf and itself as child, so a row that reaches it goes
@@ -367,6 +344,10 @@ class DecisionTreeClassifier:
 
     def predict_proba(self, X):
         X, single = _check_predict_input(X, self.n_features_in_, self.feature_ is not None)
+        scores = self._score_rows(X)
+        return float(scores[0]) if single else scores
+
+    def _score_rows(self, X):
         if X.shape[0] == 1:
             # One row costs less as a walk over the lists than as one array
             # pass per level.
@@ -377,8 +358,7 @@ class DecisionTreeClassifier:
                 child = children[node]
                 # Not `>`: no value is <= a NaN threshold, so a row goes right.
                 node = child if row[feature[node]] <= threshold[node] else child + 1
-            score = self.probability_[node]
-            return score if single else np.array([score])
+            return np.array([self.probability_[node]])
         # Every row descends one level per pass, in blocks of rows; `flat`
         # holds a block row after row, so row i's feature f is at
         # base[i] + f. A row at a leaf stays there.
@@ -508,7 +488,7 @@ class AdaBoostClassifier:
         for _ in range(self.n_estimators):
             weak = DecisionTreeClassifier(max_depth=self.weak_learner_depth)
             weak.fit(X, y, sample_weight=w)
-            predicted = weak.predict_proba(X) >= 0.5
+            predicted = weak._score_rows(X) >= 0.5
             miss = predicted != (y == 1)
             err = float(w[miss].sum())
             if err >= 0.5:
@@ -532,21 +512,27 @@ class AdaBoostClassifier:
     def decision_margin(self, X):
         """Stage-weight-normalized vote in [-1, 1]; 0 for an empty vote."""
         X, single = _check_predict_input(X, self.n_features_in_, self.stages_ is not None)
+        margin = self._margin_rows(X)
+        return float(margin[0]) if single else margin
+
+    def predict_proba(self, X):
+        X, single = _check_predict_input(X, self.n_features_in_, self.stages_ is not None)
+        scores = self._score_rows(X)
+        return float(scores[0]) if single else scores
+
+    def _margin_rows(self, X):
         margin = np.zeros(X.shape[0], dtype=np.float64)
         total = 0.0
         for stage_weight, weak in self.stages_:
-            vote = np.where(weak.predict_proba(X) >= 0.5, 1.0, -1.0)
+            vote = np.where(weak._score_rows(X) >= 0.5, 1.0, -1.0)
             margin += stage_weight * vote
             total += stage_weight
         if total > 0:
             margin /= total
-        return float(margin[0]) if single else margin
+        return margin
 
-    def predict_proba(self, X):
-        margin = self.decision_margin(X)
-        if isinstance(margin, np.ndarray):
-            return 1.0 / (1.0 + np.exp(-2.0 * margin))
-        return 1.0 / (1.0 + math.exp(-2.0 * margin))
+    def _score_rows(self, X):
+        return 1.0 / (1.0 + np.exp(-2.0 * self._margin_rows(X)))
 
     def to_json_doc(self):
         if self.stages_ is None:

@@ -131,9 +131,9 @@ def self_paced_alpha(i, n, alpha_cap=DEFAULT_ALPHA_CAP) -> float:
 def bin_sampling_weights(partition: BinPartition, alpha) -> np.ndarray:
     """Normalized per-bin sampling weights 1 / (mean_hardness + alpha).
 
-    Empty bins get weight 0. A bin whose mean hardness and alpha are both
-    exactly zero gets the dominating (but finite) unnormalized weight
-    1 / WEIGHT_EPS.
+    Empty bins get weight 0. A bin whose mean hardness plus alpha is below
+    WEIGHT_EPS, such as both exactly zero, gets the dominating (but finite)
+    unnormalized weight 1 / WEIGHT_EPS; a tinier positive sum would overflow.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha >= 0):
@@ -147,7 +147,7 @@ def bin_sampling_weights(partition: BinPartition, alpha) -> np.ndarray:
             continue
         h = partition.mean_hardness[b]
         denom = h + alpha
-        raw[b] = 1.0 / (denom if denom > 0.0 else WEIGHT_EPS)
+        raw[b] = 1.0 / max(denom, WEIGHT_EPS)
     return raw / raw.sum()
 
 

@@ -1,4 +1,5 @@
-"""Independent oracles used to freeze and cross-check expected test values.
+"""Independent oracles used to freeze and cross-check expected test values,
+and a base learner from outside the package.
 
 These deliberately avoid the library's own code paths: the AUCPRC oracle
 re-derives precision/recall at every distinct threshold by direct counting,
@@ -77,3 +78,23 @@ def random_scored_instance(gen, max_size=20):
     # Quantized scores force frequent ties, exercising the block rule.
     scores = gen.integers(0, 11, size=size) / 10.0
     return labels, scores
+
+
+class NearestMeanLearner:
+    """A factory base learner that honours only the public contract.
+
+    It scores a row by its distance to each class mean and checks nothing,
+    so on its own a NaN row comes back as a NaN score.
+    """
+
+    def fit(self, X, y, sample_weight=None):
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+        self.centres_ = np.array([X[y == 0].mean(axis=0), X[y == 1].mean(axis=0)])
+        self.n_features_in_ = X.shape[1]
+        return self
+
+    def predict_proba(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        distance = ((X[..., np.newaxis, :] - self.centres_) ** 2).sum(axis=-1)
+        scores = distance[..., 0] / (distance[..., 0] + distance[..., 1])
+        return float(scores) if X.ndim == 1 else scores

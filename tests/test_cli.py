@@ -336,6 +336,24 @@ def test_bench_mini_run_and_determinism(tmp_path, capsys):
     assert all(len(row["values"]) == 2 for row in doc["rows"])
 
 
+def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys):
+    # cascade's default keep rate needs two members, so each repeat fails.
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--methods", "easy,cascade", "--n-estimators", "1",
+              "--repeats", "2", "--n-minority", "15", "--n-majority", "90",
+              "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert json.loads(captured.out)["rows_with_errors"] == 4
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("method cascade failed in repeat 0: ")
+    assert "keep_fp_rate" in error
+    rows = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[5] == "cascade,tree,aucprc,nan,nan"
+    doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
+    assert [len(row["errors"]) for row in doc["rows"]] == [0] * 4 + [2] * 4
+
+
 TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",
               "--n-minority", "15", "--n-majority", "90", "--n-estimators", "2",
               "--seed", "6"]

@@ -378,6 +378,22 @@ def test_saving_a_too_deep_tree_leaves_the_file_as_it_was(tmp_path):
     assert not (tmp_path / "new.json").exists()
 
 
+def test_loading_a_too_deep_document_raises_value_error(tmp_path):
+    # A version-1 tree of 2500 levels nests deeper than the decoder can.
+    leaf = '{"probability": 0.0, "count": 1}'
+    split = '{"feature": 0, "threshold": 0.5, "left": %s, "right": ' % leaf
+    root = split * 2500 + leaf + "}" * 2500
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "selfpaced-ensemble", "version": 1, "method": "none", "config": {}, '
+        '"seed": 0, "members": [{"kind": "tree", "params": {"max_depth": null}, '
+        f'"n_features": 1, "root": {root}}}]}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="model document is nested too deep"):
+        load_model(str(path))
+
+
 def test_adaboost_base_learner_works_end_to_end():
     spec = LearnerSpec("adaboost", {"n_estimators": 3, "weak_learner_depth": 2})
     model = spe_fit(BOARD, SpeConfig(n_estimators=2, base_learner=spec))

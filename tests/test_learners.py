@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import NearestMeanLearner
 from tree_reference import ReferenceTree
 
+from selfpaced.core import Dataset
+from selfpaced.ensembles import fit_method
 from selfpaced.learners import (
     LEARNER_REGISTRY,
     AdaBoostClassifier,
@@ -196,10 +199,17 @@ def test_tree_rejects_non_finite_features():
     tree = DecisionTreeClassifier().fit(X, y)
     with pytest.raises(ValueError, match="row 0, column 0"):
         tree.predict_proba(np.array([np.nan, 0.0]))
+    booster = AdaBoostClassifier(n_estimators=2).fit(X, y)
+    data = Dataset(X, y)
+    ensembles = [
+        fit_method(data, "easy", n_estimators=2, base_learner=learner)
+        for learner in ("tree", "adaboost", NearestMeanLearner)
+    ]
     probe = np.zeros((4, 2))
     probe[3, 1] = np.inf
-    with pytest.raises(ValueError, match="row 3, column 1"):
-        tree.predict_proba(probe)
+    for model in (tree, booster, *ensembles):
+        with pytest.raises(ValueError, match="features must be finite: row 3, column 1"):
+            model.predict_proba(probe)
 
 
 MALFORMED_TREE_EDITS = {

@@ -204,11 +204,13 @@ def test_weights_empty_bins_get_zero():
 
 def test_weights_zero_hardness_zero_alpha_dominates():
     part = partition_bins(np.array([0.0, 0.0, 1.0]), 2)
-    weights = bin_sampling_weights(part, 0.0)
-    # The zero-hardness bin's raw weight is 1/1e-12, which dwarfs 1/1.
-    assert weights[0] > 0.999999999
-    assert weights[1] > 0.0
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    # The zero-hardness bin's raw weight is 1/1e-12, which dwarfs 1/1. So is
+    # it for an alpha whose reciprocal would overflow.
+    for alpha in (0.0, 1e-310, 5e-324):
+        weights = bin_sampling_weights(part, alpha)
+        assert weights[0] > 0.999999999
+        assert weights[1] > 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_single_bin_is_one():
