@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, EnsembleModel, RandomSource
+from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_scores
 from .hardness import resolve_hardness
 from .learners import LearnerSpec, learner_from_doc, learner_to_doc
 from .sampling import (
@@ -76,10 +76,6 @@ def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
     member = factory()
     member.fit(data.features[rows], data.labels[rows])
     return member
-
-
-def _member_scores(member, X):
-    return np.asarray(member.predict_proba(X), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -159,6 +155,9 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     majority = data.majority_indices
     target = minority.size
     majority_X = data.features[majority]
+    # The bootstrap learner and members 1..n-1 score the same majority rows,
+    # so their trees share its column ranks; one tree cannot repay them.
+    ranks = _ColumnRanks(majority_X) if n > 1 else None
 
     bootstrap_rows = random_undersample(data, rng.child("undersample", 0))
     member = _fit_member(factory, data, bootstrap_rows, minority)
@@ -167,7 +166,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
 
     # Running sum of member scores over the fixed majority rows keeps the
     # per-iteration ensemble mean O(1) member evaluations.
-    score_sum = _member_scores(member, majority_X)
+    score_sum = _member_scores(member, majority_X, ranks)
     members = []
     for i in range(1, n + 1):
         mean_scores = score_sum / i
@@ -181,7 +180,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         member = _fit_member(factory, data, chosen, minority)
         members.append(member)
         if i < n:
-            score_sum = score_sum + _member_scores(member, majority_X)
+            score_sum = score_sum + _member_scores(member, majority_X, ranks)
         if log is not None:
             counts = tuple(int(c) for c in partition.counts)
             log.append(IterationLog(i, minority.size, len(chosen), alpha, counts))
@@ -235,6 +234,9 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     minority = data.minority_indices
     majority = data.majority_indices
     majority_X = data.features[majority]
+    # Members 0..n-2 score the same majority rows, so their trees share its
+    # column ranks; one tree cannot repay them.
+    ranks = _ColumnRanks(majority_X) if n > 2 else None
     # The pool holds positions into the majority view, kept in ascending order.
     pool = np.arange(majority.size)
     score_sum = np.zeros(majority.size, dtype=np.float64)
@@ -247,7 +249,7 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
             log.append(IterationLog(i, minority.size, len(rows), pool_size=pool.size))
         if i == n - 1:
             break
-        score_sum = score_sum + _member_scores(member, majority_X)
+        score_sum = score_sum + _member_scores(member, majority_X, ranks)
         pool_scores = score_sum[pool] / len(members)
         keep = int(np.ceil(keep_fp_rate * pool.size))
         ranked = np.argsort(-pool_scores, kind="stable")

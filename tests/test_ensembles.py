@@ -19,7 +19,7 @@ from selfpaced.ensembles import (
     save_model,
     spe_fit,
 )
-from selfpaced.learners import DecisionTreeClassifier, LearnerSpec
+from selfpaced.learners import _TABLE_CELLS, DecisionTreeClassifier, LearnerSpec
 from selfpaced.sampling import self_paced_alpha
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,28 +88,68 @@ def test_spe_single_iteration_and_single_bin():
     assert log[1].bin_counts == (600,)
 
 
-@pytest.mark.parametrize("n_estimators", [1, 2, 5])
-def test_spe_scores_the_majority_once_per_member(n_estimators):
-    # The bootstrap learner and members 1..n-1 score the majority rows for
-    # the next iteration's hardness; the last member has no next iteration.
-    majority_calls = []
+def counting_trees(n_rows, calls):
+    """A tree factory whose trees note in `calls` each scoring of `n_rows` rows.
 
-    def counting_tree():
+    The trainers score the majority rows through a member's `_score_rows`.
+    """
+    def make():
         tree = DecisionTreeClassifier(max_depth=4)
-        predict_proba = tree.predict_proba
+        score_rows = tree._score_rows
 
-        def counting_predict_proba(X):
-            if len(X) == BOARD.n_majority:
-                majority_calls.append(tree)
-            return predict_proba(X)
+        def counting_score_rows(X, ranks=None):
+            if len(X) == n_rows:
+                calls.append(tree)
+            return score_rows(X, ranks)
 
-        tree.predict_proba = counting_predict_proba
+        tree._score_rows = counting_score_rows
         return tree
 
-    model = spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=counting_tree))
+    return make
+
+
+def majority_scans(monkeypatch):
+    """Shapes of the majority-sized matrices `np.isfinite` scans from now on."""
+    scans = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(values, *args, **kwargs):
+        if np.shape(values) == (BOARD.n_majority, BOARD.n_features):
+            scans.append(np.shape(values))
+        return isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    return scans
+
+
+@pytest.mark.parametrize("n_estimators", [1, 2, 5])
+def test_spe_scores_the_majority_once_per_member(n_estimators, monkeypatch):
+    # The bootstrap learner and members 1..n-1 score the majority rows for
+    # the next iteration's hardness; the last member has no next iteration.
+    # None of them checks the majority matrix again.
+    majority_calls = []
+    scans = majority_scans(monkeypatch)
+    factory = counting_trees(BOARD.n_majority, majority_calls)
+    model = spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=factory))
     assert len(majority_calls) == n_estimators
     assert len(set(map(id, majority_calls))) == n_estimators
     assert model.members[-1] not in majority_calls
+    assert scans == []
+
+
+@pytest.mark.parametrize("n_estimators", [2, 3, 5])
+def test_cascade_scores_the_majority_once_per_member(n_estimators, monkeypatch):
+    # Members 0..n-2 score the majority rows to shrink the pool; the last
+    # member has no next iteration.
+    majority_calls = []
+    scans = majority_scans(monkeypatch)
+    factory = counting_trees(BOARD.n_majority, majority_calls)
+    model = cascade_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=factory))
+    assert len(model.members) == n_estimators
+    assert len(majority_calls) == n_estimators - 1
+    assert len(set(map(id, majority_calls))) == n_estimators - 1
+    assert model.members[-1] not in majority_calls
+    assert scans == []
 
 
 def test_spe_is_deterministic():
@@ -344,6 +384,36 @@ def test_version_1_model_files_still_load(learner, tmp_path):
     copy = tmp_path / "copy.json"
     save_model(model, str(copy))
     assert copy.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("learner", ["tree", "adaboost"])
+def test_version_1_fixtures_score_a_large_batch_from_leaf_tables(learner):
+    # A batch of _TABLE_CELLS rows is scored from shared column ranks
+    # through per-tree leaf tables, and must give the fixture's scores.
+    reference = json.loads((FIXTURES / "model_v1_scores.json").read_text())
+    probe = np.array(reference["probe"])
+    model = load_model(str(FIXTURES / f"model_v1_{learner}.json"))
+    rows = np.resize(probe, (_TABLE_CELLS, probe.shape[1]))
+    expected = np.resize(np.array(reference["scores"][learner]), _TABLE_CELLS)
+    assert model.predict_proba(rows).tobytes() == expected.tobytes()
+    if learner == "adaboost":
+        trees = [weak for member in model.members for _, weak in member.stages_]
+    else:
+        trees = model.members
+    assert all(tree._table[4] is not None for tree in trees)
+
+
+def test_leaf_tables_never_reach_model_files(tmp_path):
+    model = spe_fit(BOARD, SpeConfig(n_estimators=3, base_learner=shallow_tree(), seed=2))
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    doc = json.dumps(model_to_doc(model))
+    save_model(model, str(before))
+    rows = np.resize(BOARD.features, (_TABLE_CELLS, BOARD.n_features))
+    model.predict_proba(rows)
+    assert all(member._table[4] is not None for member in model.members)
+    assert json.dumps(model_to_doc(model)) == doc
+    save_model(model, str(after))
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_model_file_round_trip(tmp_path):

@@ -397,6 +397,35 @@ def test_adaboost_json_round_trip():
     assert [s[0] for s in restored.stages_] == [s[0] for s in ada.stages_]
 
 
+def test_adaboost_fit_checks_its_inputs_once(monkeypatch):
+    # The booster checks X once; its weak trees fit the checked arrays. Each
+    # stage is the tree a public fit gives on that round's weights.
+    gen = np.random.default_rng(47)
+    X = gen.random((300, 2))
+    y = (X[:, 0] + 0.3 * gen.random(300) > 0.6).astype(int)
+    scans = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(values, *args, **kwargs):
+        scans.append(np.shape(values))
+        return isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    ada = AdaBoostClassifier(n_estimators=10, weak_learner_depth=2).fit(X, y)
+    monkeypatch.undo()
+    assert scans.count(X.shape) == 1
+    assert len(ada.stages_) == 10
+    w = np.full(X.shape[0], 1.0 / X.shape[0])
+    for stage_weight, weak in ada.stages_:
+        expected = DecisionTreeClassifier(max_depth=2).fit(X, y, sample_weight=w)
+        for name in ("feature_", "threshold_", "children_", "probability_", "count_"):
+            assert repr(getattr(weak, name)) == repr(getattr(expected, name))
+        miss = (expected.predict_proba(X) >= 0.5) != (y == 1)
+        w = w.copy()
+        w[miss] *= math.exp(stage_weight)
+        w = w / w.sum()
+
+
 def test_adaboost_param_and_input_validation():
     with pytest.raises(ValueError, match="n_estimators"):
         AdaBoostClassifier(n_estimators=0)

@@ -2,8 +2,9 @@
 
 Feature values come from a handful of integers, so ties are common, and
 sample weights include zeros. Depths run from 1 to 12 and unlimited. The
-level-wise fit and the level-wise predict are checked bit for bit against
-the per-node reference fit and the worklist predict in `tree_reference.py`.
+level-wise fit, the level-wise predict and the leaf-table predict from
+column ranks are checked bit for bit against the per-node reference fit and
+the worklist predict in `tree_reference.py`.
 """
 import json
 
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tree_reference import ReferenceTree, reference_predict_proba
 
-from selfpaced.core import RandomSource
+from selfpaced.core import _RANK_BLOCK, MeanScorer, RandomSource, _ColumnRanks
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
-from selfpaced.learners import _DESCENT_BLOCK, DecisionTreeClassifier
+from selfpaced.learners import _DESCENT_BLOCK, _TABLE_CELLS, DecisionTreeClassifier
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
@@ -197,3 +198,71 @@ def test_level_wise_predict_matches_the_reference_across_row_blocks():
         rows).tobytes() == expected
     # Column-major input is read block by block as well.
     assert tree.predict_proba(np.asfortranarray(rows)).tobytes() == expected
+
+
+# Thresholds a read document may hold: repeats, NaN, infinities, -0.0 and
+# huge finite values.
+BIGGEST = np.finfo(np.float64).max
+DOC_THRESHOLDS = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308]
+)
+
+
+@st.composite
+def ranked_trees(draw):
+    """A tree fitted on a small dataset, or its document with drawn thresholds,
+    and probe rows that hold -0.0, the largest finite value and duplicates."""
+    X, y, w, probe = draw(weighted_datasets())
+    tree = DecisionTreeClassifier(max_depth=draw(DEPTHS)).fit(X, y, sample_weight=w)
+    if draw(st.booleans()):
+        doc = tree.to_json_doc()
+        work = [doc["root"]]
+        for node in work:
+            if "feature" in node:
+                node["threshold"] = draw(DOC_THRESHOLDS)
+                work += [node["left"], node["right"]]
+        tree = DecisionTreeClassifier.from_json_doc(doc)
+    extremes = np.repeat([[-0.0], [BIGGEST]], X.shape[1], axis=1)
+    probe = np.vstack([probe, X, extremes])
+    return tree, probe
+
+
+def assert_ranked_scores_match(tree, probe):
+    """Scores of a batch of two rank blocks, from column ranks, equal the
+    worklist reference bit for bit, alone and inside an ensemble."""
+    rows = np.resize(probe, (2 * _RANK_BLOCK + 7, probe.shape[1]))
+    assert len(_ColumnRanks(rows).blocks) == 2
+    expected = reference_predict_proba(tree, rows)
+    assert tree._score_rows(rows, _ColumnRanks(rows)).tobytes() == expected.tobytes()
+    if tree._table_cells() <= _TABLE_CELLS:
+        assert tree._table[4] is not None
+    # An ensemble shares its ranks among its members.
+    mean = MeanScorer([tree, tree]).predict_proba(rows)
+    assert mean.tobytes() == ((np.zeros(rows.shape[0]) + expected + expected) / 2).tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=ranked_trees())
+def test_leaf_table_predict_matches_the_reference(case):
+    assert_ranked_scores_match(*case)
+
+
+def test_leaf_table_predict_of_root_leaf_and_one_feature_trees():
+    X = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.0], [2.0, 0.0]])
+    root_leaf = DecisionTreeClassifier().fit(X, np.zeros(4, dtype=int))
+    assert root_leaf.feature_ == [-1]
+    assert_ranked_scores_match(root_leaf, X)
+    one_feature = DecisionTreeClassifier().fit(X[:, :1], np.array([0, 1, 0, 1]))
+    assert set(one_feature.feature_) == {-1, 0}
+    assert_ranked_scores_match(one_feature, np.array([[-1.0], [0.5], [1.0], [2.0], [3.0]]))
+
+
+def test_a_tree_over_the_cell_cap_scores_by_descent():
+    # Random labels on distinct values grow hundreds of cuts per feature, so
+    # the table would hold more than _TABLE_CELLS cells.
+    gen = RandomSource(8).generator
+    X = gen.random((2000, 2))
+    tree = DecisionTreeClassifier(max_depth=None).fit(X, gen.integers(0, 2, size=2000))
+    assert tree._table_cells() > _TABLE_CELLS
+    assert_ranked_scores_match(tree, gen.random((500, 2)))
+    assert tree._table[4] is None
