@@ -6,10 +6,9 @@ Three pieces combine into one sampling rule:
      on this row" (majority rows have label 0, so hardness(p, 0)),
   2. equal-width bins over the observed hardness range group rows of
      similar difficulty,
-  3. the self-paced factor alpha sweeps from 0 to a large cap across
-     iterations, steering bin weights from hardness-harmonized (every
-     bin contributes the same total hardness) to uniform (every bin
-     contributes the same count).
+  3. the self-paced factor alpha grows from 0 across iterations, steering
+     bin weights from hardness-harmonized (every bin contributes the same
+     total hardness) toward uniform (every bin contributes the same count).
 
 This script walks each piece with small concrete numbers.
 """
@@ -17,7 +16,6 @@ This script walks each piece with small concrete numbers.
 import numpy as np
 
 from selfpaced import (
-    DEFAULT_ALPHA_CAP,
     RandomSource,
     absolute_error,
     bin_sampling_weights,
@@ -41,12 +39,13 @@ for p in (0.05, 0.5, 0.95):
 print()
 print("== the alpha schedule ==")
 # alpha_i = tan(((i - 1) / n) * pi / 2) for iteration i of n: exactly 0 first,
-# exactly 1 at the midpoint, then growing fast and clamped at the cap.
+# exactly 1 at the midpoint, then growing fast. The angle stays below pi / 2,
+# so alpha stays finite: about 2n / pi at i = n.
 n = 10
 alphas = [self_paced_alpha(i, n) for i in range(1, n + 1)]
 print("iteration: " + " ".join(f"{i:>7d}" for i in range(1, n + 1)))
 print("alpha:     " + " ".join(f"{a:7.3f}" for a in alphas))
-print(f"cap applied at {DEFAULT_ALPHA_CAP}: alpha stays finite even at i = n")
+print(f"alpha at i = n: {alphas[-1]:.3f}, against 2n/pi = {2 * n / np.pi:.3f}")
 
 print()
 print("== binning a hardness vector ==")
@@ -60,11 +59,13 @@ print(f"bin counts: {part.counts.tolist()}")
 print()
 print("== weights across the schedule ==")
 # At alpha=0 the weight of a bin is 1/mean_hardness: hard bins are kept rare
-# so that count * hardness is level across bins. At the cap all nonempty bins
-# weigh the same, which reproduces plain uniform under-sampling.
-for alpha in (0.0, 1.0, DEFAULT_ALPHA_CAP):
+# so that count * hardness is level across bins. As alpha grows the weights
+# draw together: the schedule's last alpha at n = 10 leaves them close, and a
+# very large alpha makes every nonempty bin weigh the same, which is plain
+# uniform under-sampling.
+for alpha in (0.0, 1.0, alphas[-1], 1e9):
     w = bin_sampling_weights(part, alpha)
-    print(f"alpha={alpha:8.2f}: weights={np.round(w, 3).tolist()}")
+    print(f"alpha={alpha:8.4g}: weights={np.round(w, 3).tolist()}")
 
 print()
 print("== integer quotas by largest remainder ==")

@@ -54,9 +54,9 @@ sizes = {(e.n_minority, e.n_majority) for e in log}
 print(f"\nevery bag balanced at 1000+1000: {sizes == {(1000, 1000)}}")
 
 # The early iterations sample with alpha near 0 (hardness-harmonized bins),
-# the late ones with alpha near the cap (uniform over nonempty bins). Watch
-# the occupancy concentrate as the ensemble improves: most majority rows
-# become easy, so the low-hardness bins dominate.
+# the late ones with alpha up to 6.31 (close to uniform over nonempty bins).
+# Watch the occupancy concentrate as the ensemble improves: most majority
+# rows become easy, so the low-hardness bins dominate.
 first = next(e for e in log if e.alpha is not None)
 last = log[-1]
 print(f"first iteration bin counts: {first.bin_counts[:6]}... (alpha={first.alpha:.2f})")

@@ -77,7 +77,6 @@ from .metrics import (
     stratified_split,
 )
 from .sampling import (
-    DEFAULT_ALPHA_CAP,
     BinPartition,
     ResamplingWarning,
     bin_sampling_weights,

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import RandomSource, derive_seed
 from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
-from .ensembles import METHODS, fit_method
+from .ensembles import METHODS, SpeConfig, fit_method
 from .learners import LearnerSpec
 # `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
 from .metrics import aucprc, metric_report  # noqa: F401
-from .sampling import DEFAULT_ALPHA_CAP
 
 __all__ = [
     "BenchConfig",
@@ -41,22 +40,23 @@ MISSING_RATIOS = (0.0, 0.25, 0.5, 0.75)
 CHECKERBOARD_METRICS = ("aucprc", "f1", "gmean", "mcc")
 
 @dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(SpeConfig):
+    """The trainer settings of `SpeConfig` plus the suite's own.
+
+    `seed` is the suite seed: each repeat draws its boards and fits its
+    models with seeds derived from it.
+    """
+
+    base_learner: LearnerSpec = LearnerSpec("tree", {"max_depth": 10})
     suite: str = "checkerboard"
     methods: tuple = ("rand-under", "easy", "cascade", "spe")
-    base_learner: LearnerSpec = LearnerSpec("tree", {"max_depth": 10})
-    n_estimators: int = 10
-    k_bins: int = 20
-    hardness: str = "absolute"
-    keep_fp_rate: float | None = None
-    alpha_cap: float = DEFAULT_ALPHA_CAP
     repeats: int = 10
-    seed: int = 0
     cov: float = 0.1
     n_minority: int = 1000
     n_majority: int = 10000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; valid: {' | '.join(SUITES)}")
         for method in self.methods:
@@ -111,17 +111,9 @@ def _dataset_pair(config: BenchConfig, cov: float, repeat: int):
 
 
 def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -> dict:
-    model = fit_method(
-        train,
-        method,
-        base_learner=config.base_learner,
-        n_estimators=config.n_estimators,
-        k_bins=config.k_bins,
-        hardness=config.hardness,
-        alpha_cap=config.alpha_cap,
-        keep_fp_rate=config.keep_fp_rate,
-        seed=derive_seed(config.seed, "fit", repeat),
-    )
+    trainer = {f.name: getattr(config, f.name) for f in fields(SpeConfig)}
+    trainer["seed"] = derive_seed(config.seed, "fit", repeat)
+    model = fit_method(train, method, **trainer)
     return metric_report(test.labels, model.predict_proba(test.features))
 
 

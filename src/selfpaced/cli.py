@@ -25,7 +25,7 @@ from .data import (
     load_table,
     save_csv,
 )
-from .ensembles import METHODS, fit_method, load_model, save_model
+from .ensembles import METHODS, SpeConfig, fit_method, load_model, save_model
 from .hardness import HARDNESS_FUNCTIONS
 from .learners import LearnerSpec
 # `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
@@ -98,12 +98,11 @@ def _add_learner_options(sub):
 
 
 def _add_method_options(sub):
-    sub.add_argument("--n-estimators", type=int, default=10)
-    sub.add_argument("--k-bins", type=int, default=20,
-                     help="hardness bins for spe (default: 20)")
-    sub.add_argument("--hardness", choices=_HARDNESS_CHOICES, default="absolute")
-    sub.add_argument("--alpha-cap", type=float, default=1e9)
-    sub.add_argument("--keep-fp-rate", type=float, default=None,
+    sub.add_argument("--n-estimators", type=int, default=SpeConfig.n_estimators)
+    sub.add_argument("--k-bins", type=int, default=SpeConfig.k_bins,
+                     help=f"hardness bins for spe (default: {SpeConfig.k_bins})")
+    sub.add_argument("--hardness", choices=_HARDNESS_CHOICES, default=SpeConfig.hardness)
+    sub.add_argument("--keep-fp-rate", type=float, default=SpeConfig.keep_fp_rate,
                      help="cascade keep rate; default derives from the imbalance")
 
 
@@ -275,7 +274,6 @@ def _fit_fields(args):
         "n_estimators": args.n_estimators,
         "k_bins": args.k_bins,
         "hardness": args.hardness,
-        "alpha_cap": args.alpha_cap,
         "keep_fp_rate": args.keep_fp_rate,
     }
 

@@ -17,7 +17,6 @@ from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_sc
 from .hardness import resolve_hardness
 from .learners import LearnerSpec, learner_from_doc, learner_to_doc
 from .sampling import (
-    DEFAULT_ALPHA_CAP,
     bin_sampling_weights,
     draw_undersample,
     partition_bins,
@@ -82,18 +81,28 @@ def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
 class SpeConfig:
     """Settings for every trainer; each reads only the fields it uses.
 
-    `k_bins`, `hardness` and `alpha_cap` steer spe. `keep_fp_rate` steers
-    cascade, and None derives it from the imbalance. The one-learner
-    baselines ignore `n_estimators`.
+    `k_bins` and `hardness` steer spe. `keep_fp_rate` steers cascade, and
+    None derives it from the imbalance. The one-learner baselines ignore
+    `n_estimators`. Every field is checked here, once, when the config is
+    made; a trainer adds only its method's own rules on its data.
     """
 
     n_estimators: int = 10
     base_learner: object = "tree"
     k_bins: int = 20
     hardness: object = "absolute"
-    alpha_cap: float = DEFAULT_ALPHA_CAP
     seed: int = 0
     keep_fp_rate: float | None = None
+
+    def __post_init__(self):
+        if int(self.n_estimators) < 1:
+            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        if int(self.k_bins) < 1:
+            raise ValueError(f"k_bins must be >= 1, got {self.k_bins}")
+        if self.keep_fp_rate is not None and not 0.0 < float(self.keep_fp_rate) <= 1.0:
+            raise ValueError(f"keep_fp_rate must lie in (0, 1], got {self.keep_fp_rate}")
+        _resolve_learner(self.base_learner)
+        resolve_hardness(self.hardness)
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """
     factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
-    if n < 1:
-        raise ValueError(f"n_estimators must be >= 1, got {n}")
     k = int(config.k_bins)
-    if k < 1:
-        raise ValueError(f"k_bins must be >= 1, got {k}")
     hardness_fn = resolve_hardness(config.hardness)
 
     minority = data.minority_indices
@@ -172,7 +177,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         mean_scores = score_sum / i
         hardness = hardness_fn(mean_scores, 0)
         partition = partition_bins(hardness, k, indices=majority)
-        alpha = self_paced_alpha(i, n, config.alpha_cap)
+        alpha = self_paced_alpha(i, n)
         weights = bin_sampling_weights(partition, alpha)
         chosen = self_paced_undersample(
             partition, weights, target, rng.child("undersample", i)
@@ -192,8 +197,6 @@ def easy_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """Train independent learners on independent random balanced subsets."""
     factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
-    if n < 1:
-        raise ValueError(f"n_estimators must be >= 1, got {n}")
     minority = data.minority_indices
     members = []
     for i in range(n):
@@ -217,8 +220,6 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """
     factory, learner_echo, rng = _start(data, config)
     n = int(config.n_estimators)
-    if n < 1:
-        raise ValueError(f"n_estimators must be >= 1, got {n}")
     if config.keep_fp_rate is None:
         if n < 2:
             raise ValueError(
@@ -226,10 +227,10 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
                 "pass keep_fp_rate explicitly for a single iteration"
             )
         keep_fp_rate = (data.n_minority / data.n_majority) ** (1.0 / (n - 1))
+        if keep_fp_rate > 1.0:
+            raise ValueError(f"the derived keep_fp_rate must be <= 1, got {keep_fp_rate}")
     else:
         keep_fp_rate = float(config.keep_fp_rate)
-    if not 0.0 < keep_fp_rate <= 1.0:
-        raise ValueError(f"keep_fp_rate must lie in (0, 1], got {keep_fp_rate}")
 
     minority = data.minority_indices
     majority = data.majority_indices
@@ -284,7 +285,7 @@ def _plain_fit(data, config, log=None):
 # perfbench/spans.py sets them) sees every call.
 _METHOD_TABLE = {
     "spe": ("spe_fit", {},
-            ("n_estimators", "k_bins", "alpha_cap", "seed", "hardness", "base_learner")),
+            ("n_estimators", "k_bins", "seed", "hardness", "base_learner")),
     "easy": ("easy_fit", {}, ("n_estimators", "seed", "base_learner")),
     "cascade": ("cascade_fit", {}, ("n_estimators", "keep_fp_rate", "seed", "base_learner")),
     "rand-under": ("easy_fit", {"n_estimators": 1}, ("seed", "base_learner")),

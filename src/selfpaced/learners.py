@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_features, _check_predict_input
+from .core import _ColumnRanks, _check_features, _check_predict_input
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -603,6 +603,9 @@ class AdaBoostClassifier:
         return float(scores[0]) if single else scores
 
     def _margin_rows(self, X, ranks=None):
+        if ranks is None and len(self.stages_) > 1:
+            # The weak trees score the same rows, so they share one rank view.
+            ranks = _ColumnRanks(X)
         margin = np.zeros(X.shape[0], dtype=np.float64)
         total = 0.0
         for stage_weight, weak in self.stages_:

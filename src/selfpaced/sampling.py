@@ -18,11 +18,9 @@ __all__ = [
     "draw_undersample",
     "largest_remainder_shares",
     "ResamplingWarning",
-    "DEFAULT_ALPHA_CAP",
     "WEIGHT_EPS",
 ]
 
-DEFAULT_ALPHA_CAP = 1e9
 # Stand-in divisor when a bin's mean hardness and alpha are both exactly zero.
 WEIGHT_EPS = 1e-12
 
@@ -109,11 +107,12 @@ def partition_bins(values, k, indices=None) -> BinPartition:
     return BinPartition(edges, tuple(member_indices), mean_hardness)
 
 
-def self_paced_alpha(i, n, alpha_cap=DEFAULT_ALPHA_CAP) -> float:
+def self_paced_alpha(i, n) -> float:
     """Self-paced factor for iteration i of n: tan(((i-1)/n) * pi/2).
 
-    Starts at exactly 0.0 for i=1, grows strictly, and is clamped at
-    alpha_cap to stay finite.
+    Starts at exactly 0.0 for i=1 and grows strictly. The angle stays below
+    pi/2, so alpha stays finite: at i=n it is tan((n-1)/n * pi/2), about
+    2n/pi (6.31 at n=10).
     """
     i = int(i)
     n = int(n)
@@ -121,11 +120,9 @@ def self_paced_alpha(i, n, alpha_cap=DEFAULT_ALPHA_CAP) -> float:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"iteration must lie in [1, {n}], got {i}")
-    if not alpha_cap > 0:
-        raise ValueError(f"alpha_cap must be positive, got {alpha_cap}")
     if i == 1:
         return 0.0
-    return min(math.tan(((i - 1) / n) * (math.pi / 2)), float(alpha_cap))
+    return math.tan(((i - 1) / n) * (math.pi / 2))
 
 
 def bin_sampling_weights(partition: BinPartition, alpha) -> np.ndarray:

@@ -20,7 +20,6 @@ from selfpaced.ensembles import SpeConfig, spe_fit
 from selfpaced.learners import LearnerSpec
 from selfpaced.metrics import ConfusionMatrix, aucprc, confusion_scores
 from selfpaced.sampling import (
-    DEFAULT_ALPHA_CAP,
     bin_sampling_weights,
     partition_bins,
     self_paced_alpha,
@@ -195,8 +194,9 @@ def test_criterion_5_harmonize_property():
         worst_ratio = max(worst_ratio, ratio)
         assert ratio <= 1.1, f"centers={centers}: quota*h ratio {ratio:.4f} > 1.1"
 
-        # alpha at the cap: quotas flatten to uniform within one unit.
-        flat = bin_sampling_weights(part, DEFAULT_ALPHA_CAP)
+        # alpha far past any bin's hardness: quotas flatten to uniform
+        # within one unit.
+        flat = bin_sampling_weights(part, 1e9)
         chosen = self_paced_undersample(part, flat, target, RandomSource(trial + 10))
         loads = bin_loads(part, chosen)
         spread = int(loads.max() - loads.min())

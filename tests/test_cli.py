@@ -359,6 +359,22 @@ TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",
               "--seed", "6"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k-bins", "0"], "k_bins must be >= 1, got 0"),
+    (["--n-estimators", "0"], "n_estimators must be >= 1, got 0"),
+    (["--keep-fp-rate", "2"], "keep_fp_rate must lie in (0, 1], got 2.0"),
+])
+def test_bench_refuses_a_bad_trainer_setting_before_any_cell(tmp_path, capsys, flags, message):
+    output = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*TINY_BENCH, *flags, "--output", str(output)])
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message}
+    assert not output.exists()
+
+
 def test_bench_learner_flags_match_a_bench_config(tmp_path, capsys):
     run_cli(capsys, [*TINY_BENCH, "--base-learner", "adaboost", "--weak-depth", "2",
                      "--boost-rounds", "3", "--output", str(tmp_path)])
@@ -401,12 +417,13 @@ def test_bench_config_key_is_base_learner(tmp_path, capsys):
     assert rows and all(row.split(",")[1] == "adaboost" for row in rows)
 
 
-def test_cli_workflow_demo_runs(tmp_path):
+@pytest.mark.parametrize("demo", ["07_cli_workflow.py", "02_hardness_and_schedule.py"])
+def test_cli_workflow_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "07_cli_workflow.py")],
+        [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -57,11 +57,11 @@ def test_spe_alphas_follow_schedule():
     log = []
     spe_fit(
         BOARD,
-        SpeConfig(n_estimators=8, base_learner=shallow_tree(), alpha_cap=5.0),
+        SpeConfig(n_estimators=8, base_learner=shallow_tree()),
         log=log,
     )
     alphas = [entry.alpha for entry in log[1:]]
-    assert alphas == [self_paced_alpha(i, 8, 5.0) for i in range(1, 9)]
+    assert alphas == [self_paced_alpha(i, 8) for i in range(1, 9)]
     assert alphas[0] == 0.0
     assert alphas == sorted(alphas)
 
@@ -172,12 +172,12 @@ def test_spe_config_echo():
 
 
 # Written at the release before the trainers shared one config: fit_method on
-# BOARD with n_estimators=3, k_bins=5, hardness="squared", alpha_cap=7.5 and
-# seed 4, over depth-4 trees. Key order is part of the model file.
+# BOARD with n_estimators=3, k_bins=5, hardness="squared" and seed 4, over
+# depth-4 trees. Key order is part of the model file.
 _TREE4 = {"name": "tree", "params": {"max_depth": 4}}
 CONFIG_ECHOES = {
-    "spe": [("n_estimators", 3), ("k_bins", 5), ("alpha_cap", 7.5), ("seed", 4),
-            ("hardness", "squared"), ("base_learner", _TREE4)],
+    "spe": [("n_estimators", 3), ("k_bins", 5), ("seed", 4), ("hardness", "squared"),
+            ("base_learner", _TREE4)],
     "easy": [("n_estimators", 3), ("seed", 4), ("base_learner", _TREE4)],
     "cascade": [("n_estimators", 3), ("keep_fp_rate", 0.31622776601683794), ("seed", 4),
                 ("base_learner", _TREE4)],
@@ -191,12 +191,26 @@ CONFIG_ECHOES = {
 def test_config_echo_per_method(method):
     model = fit_method(
         BOARD, method, base_learner=shallow_tree(), n_estimators=3, k_bins=5,
-        hardness="squared", alpha_cap=7.5, seed=4,
+        hardness="squared", seed=4,
     )
     assert list(model.config.items()) == CONFIG_ECHOES[method]
     assert list(model_to_doc(model)["config"].items()) == CONFIG_ECHOES[method]
     assert model.method == method
     assert model.seed == 4
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"n_estimators": 0}, r"n_estimators must be >= 1, got 0"),
+    ({"k_bins": 0}, r"k_bins must be >= 1, got 0"),
+    ({"keep_fp_rate": 0.0}, r"keep_fp_rate must lie in \(0, 1\], got 0.0"),
+    ({"keep_fp_rate": 1.5}, r"keep_fp_rate must lie in \(0, 1\], got 1.5"),
+    ({"keep_fp_rate": float("nan")}, r"keep_fp_rate must lie in \(0, 1\], got nan"),
+    ({"hardness": "hinge"}, r"unknown hardness function 'hinge'"),
+    ({"base_learner": 42}, r"base_learner must be .*; got int"),
+])
+def test_spe_config_checks_its_fields_when_made(settings, message):
+    with pytest.raises(ValueError, match=message):
+        SpeConfig(**settings)
 
 
 def test_spe_validation():

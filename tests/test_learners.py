@@ -9,9 +9,11 @@ from helpers import NearestMeanLearner
 from tree_reference import ReferenceTree
 
 from selfpaced.core import Dataset
+from selfpaced.data import CheckerboardSpec, generate_checkerboard
 from selfpaced.ensembles import fit_method
 from selfpaced.learners import (
     LEARNER_REGISTRY,
+    _TABLE_CELLS,
     AdaBoostClassifier,
     DecisionTreeClassifier,
     LearnerSpec,
@@ -424,6 +426,25 @@ def test_adaboost_fit_checks_its_inputs_once(monkeypatch):
         w = w.copy()
         w[miss] *= math.exp(stage_weight)
         w = w / w.sum()
+
+
+def test_a_lone_booster_scores_a_large_batch_through_shared_ranks():
+    board = generate_checkerboard(CheckerboardSpec(n_minority=100, n_majority=1000, seed=4))
+    booster = AdaBoostClassifier(n_estimators=10, weak_learner_depth=4)
+    booster.fit(board.features, board.labels)
+    assert len(booster.stages_) > 1
+    X = generate_checkerboard(
+        CheckerboardSpec(n_minority=16, n_majority=_TABLE_CELLS - 16, seed=5)
+    ).features
+    # The reference: each weak tree descends the batch on its own.
+    margin = np.zeros(X.shape[0])
+    for stage_weight, weak in booster.stages_:
+        margin += stage_weight * np.where(weak._score_rows(X) >= 0.5, 1.0, -1.0)
+    margin /= sum(stage_weight for stage_weight, _ in booster.stages_)
+    expected = 1.0 / (1.0 + np.exp(-2.0 * margin))
+    assert all(weak._table is None for _, weak in booster.stages_)
+    assert booster.predict_proba(X).tobytes() == expected.tobytes()
+    assert all(weak._table[4] is not None for _, weak in booster.stages_)
 
 
 def test_adaboost_param_and_input_validation():

@@ -6,7 +6,6 @@ import pytest
 
 from selfpaced.core import Dataset, RandomSource
 from selfpaced.sampling import (
-    DEFAULT_ALPHA_CAP,
     BinPartition,
     ResamplingWarning,
     bin_sampling_weights,
@@ -156,13 +155,6 @@ def test_alpha_strictly_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_alpha_cap_clamps():
-    assert self_paced_alpha(10, 10, alpha_cap=2.0) == 2.0
-    assert self_paced_alpha(2, 10, alpha_cap=2.0) == pytest.approx(
-        math.tan(0.05 * math.pi)
-    )
-
-
 def test_alpha_argument_validation():
     with pytest.raises(ValueError, match="positive integer"):
         self_paced_alpha(1, 0)
@@ -170,8 +162,6 @@ def test_alpha_argument_validation():
         self_paced_alpha(0, 10)
     with pytest.raises(ValueError, match=r"\[1, 10\]"):
         self_paced_alpha(11, 10)
-    with pytest.raises(ValueError, match="alpha_cap"):
-        self_paced_alpha(1, 10, alpha_cap=0.0)
 
 
 def test_weights_inverse_to_hardness():
@@ -188,7 +178,7 @@ def test_weights_flatten_as_alpha_grows():
     part = partition_bins(np.array([0.1, 0.9]), 2)
     sharp = bin_sampling_weights(part, 0.0)
     soft = bin_sampling_weights(part, 10.0)
-    flat = bin_sampling_weights(part, DEFAULT_ALPHA_CAP)
+    flat = bin_sampling_weights(part, 1e9)
     assert sharp[0] > soft[0] > flat[0]
     assert flat[0] == pytest.approx(0.5, abs=1e-6)
     assert flat[1] == pytest.approx(0.5, abs=1e-6)
