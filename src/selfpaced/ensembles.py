@@ -9,7 +9,7 @@ trainers that draw the same way on the same seed produce the same subsets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,28 +233,23 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         keep_fp_rate = float(config.keep_fp_rate)
 
     minority = data.minority_indices
-    majority = data.majority_indices
-    majority_X = data.features[majority]
-    # Members 0..n-2 score the same majority rows, so their trees share its
-    # column ranks; one tree cannot repay them.
-    ranks = _ColumnRanks(majority_X) if n > 2 else None
-    # The pool holds positions into the majority view, kept in ascending order.
-    pool = np.arange(majority.size)
-    score_sum = np.zeros(majority.size, dtype=np.float64)
+    # The live pool: majority row ids in ascending order, with the sum of
+    # the members' scores of each; only these rows are scored.
+    pool = data.majority_indices
+    score_sum = np.zeros(pool.size, dtype=np.float64)
     members = []
     for i in range(n):
-        rows = draw_undersample(majority[pool], minority.size, rng.child("undersample", i))
+        rows = draw_undersample(pool, minority.size, rng.child("undersample", i))
         member = _fit_member(factory, data, rows, minority)
         members.append(member)
         if log is not None:
             log.append(IterationLog(i, minority.size, len(rows), pool_size=pool.size))
         if i == n - 1:
             break
-        score_sum = score_sum + _member_scores(member, majority_X, ranks)
-        pool_scores = score_sum[pool] / len(members)
+        score_sum = score_sum + _member_scores(member, data.features[pool])
         keep = int(np.ceil(keep_fp_rate * pool.size))
-        ranked = np.argsort(-pool_scores, kind="stable")
-        pool = np.sort(pool[ranked[:keep]])
+        kept = np.sort(np.argsort(-score_sum / len(members), kind="stable")[:keep])
+        pool, score_sum = pool[kept], score_sum[kept]
         if pool.size < minority.size:
             break
     return _model("cascade", members, config, base_learner=learner_echo,
@@ -304,7 +299,7 @@ def fit_method(data: Dataset, method: str, log=None, **fields) -> EnsembleModel:
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}; valid: {' | '.join(METHODS)}")
     trainer, fixed, _ = _METHOD_TABLE[method]
-    config = SpeConfig(**{**fields, **fixed})
+    config = replace(SpeConfig(**fields), **fixed)
     model = globals()[trainer](data, config, log=log)
     if model.method != method:
         model = _model(method, model.members, config, **model.config)

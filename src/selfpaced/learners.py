@@ -277,11 +277,10 @@ class DecisionTreeClassifier:
         # would put them, and sorting once per fit suffices.
         by_row = np.arange(n_rows)
         by_value = [np.argsort(column, kind="stable") for column in columns]
-        # Nodes in breadth-first order; a split node's children are
-        # `children[node]` and the node after it.
-        feature, threshold, probability, count, children = [-1], [0.0], [0.0], [0], [-1]
-        ids = np.zeros(1, dtype=np.int64)  # the nodes of this depth
-        sizes = np.array([n_rows])
+        # Nodes in breadth-first order, appended a depth at a time; a split
+        # node's children are `children[node]` and the node after it.
+        feature, threshold, probability, count, children = [], [], [], [], []
+        sizes = np.array([n_rows])  # rows per node of this depth
         depth = 0
         while True:
             w_total, w_pos = _node_totals(w, y, by_row, sizes, exact)
@@ -290,11 +289,11 @@ class DecisionTreeClassifier:
             grow = (sizes >= self.min_samples_split) & (w_pos != 0.0) & (w_pos != w_total)
             if self.max_depth is not None and depth >= self.max_depth:
                 grow[:] = False
-            split_feature = np.full(ids.size, -1)
-            split_threshold = np.zeros(ids.size)
+            split_feature = np.full(sizes.size, -1)
+            split_threshold = np.zeros(sizes.size)
             if grow.any():
                 # Drop the rows of the nodes that stop here.
-                key = _keys(n_rows, ids.size)
+                key = _keys(n_rows, sizes.size)
                 key[by_row] = np.repeat(np.where(grow, np.cumsum(grow) - 1, -1), sizes)
                 by_row = by_row[key[by_row] >= 0]
                 by_value = [_regroup(rows, key) for rows in by_value]
@@ -303,22 +302,15 @@ class DecisionTreeClassifier:
                 )
             split = split_feature >= 0
             n_split = int(split.sum())
-            first_child = len(feature) + 2 * np.arange(n_split)
-            for node, value, size in zip(
-                ids[~split].tolist(), leaf_probability[~split].tolist(), sizes[~split].tolist()
-            ):
-                probability[node], count[node] = value, size
-            for node, f, t, child in zip(
-                ids[split].tolist(), split_feature[split].tolist(),
-                split_threshold[split].tolist(), first_child.tolist(),
-            ):
-                feature[node], threshold[node], children[node] = f, t, child
+            # The next depth's nodes follow this depth's, in their parents' order.
+            first_child = len(feature) + sizes.size + 2 * (np.cumsum(split) - 1)
+            feature += split_feature.tolist()
+            threshold += split_threshold.tolist()
+            children += np.where(split, first_child, -1).tolist()
+            probability += np.where(split, 0.0, leaf_probability).tolist()
+            count += np.where(split, 0, sizes).tolist()
             if n_split == 0:
                 break
-            for node_list, blank in zip(
-                (feature, threshold, probability, count, children), (-1, 0.0, 0.0, 0, -1)
-            ):
-                node_list += [blank] * (2 * n_split)
             # Send each row of a split node to its left (even) or right (odd)
             # child; children follow their parents' order.
             node_of = np.repeat(np.flatnonzero(grow), sizes[grow])
@@ -329,7 +321,6 @@ class DecisionTreeClassifier:
             key[rows] = 2 * (np.cumsum(split) - 1)[node_of] + ~goes_left
             by_row = _regroup(rows, key)
             sizes = np.bincount(key[rows], minlength=2 * n_split)
-            ids = first_child[0] + np.arange(2 * n_split)
             depth += 1
         self.feature_, self.threshold_, self.children_ = feature, threshold, children
         self.probability_, self.count_ = probability, count
@@ -378,14 +369,15 @@ class DecisionTreeClassifier:
                 # Not `>`: no value is <= a NaN threshold, so a row goes right.
                 node = child if row[feature[node]] <= threshold[node] else child + 1
             return np.array([self.probability_[node]])
-        if ranks is None or X.shape[0] < _TABLE_CELLS or self._table_cells() > _TABLE_CELLS:
+        table = None if ranks is None or X.shape[0] < _TABLE_CELLS else self._leaf_table()
+        if table is None:
             return _descend(X, *self._descent)
         # A row's code on feature f is the number of the tree's f-cuts below
         # its value: in a block, rows at sorted positions below
         # searchsorted(values, cut[j], "right") are <= cut[j]. Its leaf sits
         # in the table cell at the sum of its codes times their strides.
         # A cell number is below _TABLE_CELLS, so it fits 16 bits.
-        used, cuts, strides, leaf = self._leaf_table()
+        used, cuts, strides, leaf = table
         columns = [ranks.column(f) for f in used]
         levels = [(np.arange(cut.size + 1) * stride).astype(np.uint16)
                   for cut, stride in zip(cuts, strides)]
@@ -400,11 +392,15 @@ class DecisionTreeClassifier:
             out[start:stop] = leaf[index]
         return out
 
-    def _table_cells(self):
-        """Cells of the tree's leaf table: one per combination of a code per feature.
+    def _leaf_table(self):
+        """(features, cuts, strides, leaf probability per cell) of the leaf
+        table, or None when it would hold more than _TABLE_CELLS cells.
 
-        A feature's cuts are its distinct non-NaN thresholds; no value is
-        <= NaN, so a NaN threshold needs no code to decide.
+        A cell holds one combination of a code per feature. A feature's cuts
+        are its distinct non-NaN thresholds; no value is <= NaN, so a NaN
+        threshold needs no code to decide. Planned and built on first use and
+        kept on the tree, outside its document; an over-cap tree keeps only
+        the plan.
         """
         if self._table is None:
             feature = np.array(self.feature_)
@@ -413,28 +409,21 @@ class DecisionTreeClassifier:
             cuts = [np.unique(threshold[(feature == f) & ~np.isnan(threshold)]) for f in used]
             shape = [cut.size + 1 for cut in cuts]
             strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
-            self._table = used, cuts, strides, math.prod(shape), None
-        return self._table[3]
-
-    def _leaf_table(self):
-        """(features, cuts, strides, leaf probability per cell) of the leaf table.
-
-        Built on first use and kept on the tree, outside its document.
-        """
-        used, cuts, strides, cells, leaf = self._table
-        if leaf is None:
-            # Cell c is decided as its representative row decides: on each
-            # feature, the cut its code names, or +inf past the last cut.
-            # Every value with that code falls on the same side of every cut.
-            grid = np.empty((cells, len(used)))
-            axes = np.meshgrid(*(np.append(cut, np.inf) for cut in cuts), indexing="ij")
-            for axis, values in enumerate(axes):
-                grid[:, axis] = values.ravel()
-            feature, threshold, child, probability, depth = self._descent
-            leaf = _descend(grid, np.searchsorted(used, feature), threshold, child,
-                            probability, depth)
+            cells, leaf = math.prod(shape), None
+            if cells <= _TABLE_CELLS:
+                # Cell c is decided as its representative row decides: on each
+                # feature, the cut its code names, or +inf past the last cut.
+                # Every value with that code falls on the same side of every cut.
+                grid = np.empty((cells, len(used)))
+                axes = np.meshgrid(*(np.append(cut, np.inf) for cut in cuts), indexing="ij")
+                for axis, values in enumerate(axes):
+                    grid[:, axis] = values.ravel()
+                feature, threshold, child, probability, depth = self._descent
+                leaf = _descend(grid, np.searchsorted(used, feature), threshold, child,
+                                probability, depth)
             self._table = used, cuts, strides, cells, leaf
-        return used, cuts, strides, leaf
+        used, cuts, strides, _, leaf = self._table
+        return None if leaf is None else (used, cuts, strides, leaf)
 
     def to_json_doc(self):
         if self.feature_ is None:

@@ -417,7 +417,11 @@ def test_bench_config_key_is_base_learner(tmp_path, capsys):
     assert rows and all(row.split(",")[1] == "adaboost" for row in rows)
 
 
-@pytest.mark.parametrize("demo", ["07_cli_workflow.py", "02_hardness_and_schedule.py"])
+@pytest.mark.parametrize("demo", [
+    "07_cli_workflow.py", "02_hardness_and_schedule.py", "01_checkerboard_tour.py",
+    "03_spe_walkthrough.py", "04_method_comparison.py", "05_metrics_tour.py",
+    "06_missing_values.py",
+])
 def test_cli_workflow_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -525,6 +529,17 @@ def test_runtime_errors_exit_1_with_json(tmp_path, capsys):
     )
     assert code == 1
     assert err["error"]
+
+
+def test_train_rand_under_checks_its_n_estimators(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    code, err = run_cli_error(capsys, [
+        "train", "--checkerboard", "--n-minority", "20", "--n-majority", "200",
+        "--method", "rand-under", "--n-estimators", "0", "--output", str(model_path),
+    ])
+    assert code == 1
+    assert err == {"error": "n_estimators must be >= 1, got 0"}
+    assert not model_path.exists()
 
 
 def test_unknown_bench_method_is_runtime_error(capsys):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cascade_reference import reference_cascade, reference_mean
 
 from selfpaced.core import Dataset, EnsembleModel
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
@@ -139,16 +140,28 @@ def test_spe_scores_the_majority_once_per_member(n_estimators, monkeypatch):
 
 @pytest.mark.parametrize("n_estimators", [2, 3, 5])
 def test_cascade_scores_the_majority_once_per_member(n_estimators, monkeypatch):
-    # Members 0..n-2 score the majority rows to shrink the pool; the last
-    # member has no next iteration.
-    majority_calls = []
+    # Members 0..n-2 score the rows of the live pool to shrink it; the last
+    # member has no next iteration. None of them checks those rows again.
+    pool_calls = []
     scans = majority_scans(monkeypatch)
-    factory = counting_trees(BOARD.n_majority, majority_calls)
-    model = cascade_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=factory))
+
+    def make():
+        tree = DecisionTreeClassifier(max_depth=4)
+        score_rows = tree._score_rows
+
+        def counting_score_rows(X, ranks=None):
+            if len(X) > 1:
+                pool_calls.append((tree, len(X)))
+            return score_rows(X, ranks)
+
+        tree._score_rows = counting_score_rows
+        return tree
+
+    log = []
+    model = cascade_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=make), log=log)
     assert len(model.members) == n_estimators
-    assert len(majority_calls) == n_estimators - 1
-    assert len(set(map(id, majority_calls))) == n_estimators - 1
-    assert model.members[-1] not in majority_calls
+    assert pool_calls == [(member, entry.pool_size)
+                          for member, entry in zip(model.members[:-1], log)]
     assert scans == []
 
 
@@ -256,6 +269,11 @@ def test_easy_single_member_equals_rand_under():
         assert len(rand.members) == 1
 
 
+def test_rand_under_checks_the_n_estimators_it_is_given():
+    with pytest.raises(ValueError, match=r"n_estimators must be >= 1, got 0"):
+        fit_method(BOARD, "rand-under", n_estimators=0)
+
+
 def test_cascade_keep_everything_equals_easy():
     easy = easy_fit(BOARD, SpeConfig(n_estimators=3, base_learner=shallow_tree(), seed=5))
     cascade = cascade_fit(
@@ -279,6 +297,70 @@ def test_cascade_pool_schedule():
     for entry in log:
         assert entry.n_minority == 100
         assert entry.n_majority == 100
+
+
+# (minority, majority, seed, n_estimators, keep_fp_rate, learner). The last
+# board's majority reaches the leaf-table batch size.
+CASCADE_CASES = [
+    (60, 600, 0, 2, None, LearnerSpec("tree")),
+    (1000, 10000, 3, 10, None, LearnerSpec("tree")),
+    (100, 2000, 5, 4, 0.5, LearnerSpec("tree")),
+    (80, 900, 7, 3, 1.0, LearnerSpec("tree")),
+    (100, 1500, 2, 5, None, LearnerSpec("adaboost", {"weak_learner_depth": 3})),
+    (300, 70000, 1, 4, None, LearnerSpec("tree")),
+]
+
+
+@pytest.mark.parametrize("n_minority, n_majority, seed, n, rate, learner", CASCADE_CASES)
+def test_cascade_matches_the_reference(n_minority, n_majority, seed, n, rate, learner):
+    assert CASCADE_CASES[-1][1] >= _TABLE_CELLS
+    data = generate_checkerboard(
+        CheckerboardSpec(n_minority=n_minority, n_majority=n_majority, seed=seed)
+    )
+    log = []
+    model = cascade_fit(data, SpeConfig(n, learner, seed=seed, keep_fp_rate=rate), log=log)
+    members, pool_sizes = reference_cascade(data, n, learner.create, seed, rate)
+    assert [m.to_json_doc() for m in model.members] == [m.to_json_doc() for m in members]
+    assert [entry.pool_size for entry in log] == pool_sizes
+    probe = data.features[::5]
+    assert model.predict_proba(probe).tobytes() == reference_mean(members, probe).tobytes()
+
+
+class ScriptedLearner:
+    """Scores a row by its feature-0 value through a fixed table, and keeps
+    the rows it was fitted on."""
+
+    def __init__(self, table):
+        self.table = table
+        self.n_features_in_ = 2
+
+    def fit(self, X, y):
+        self.rows_ = X.tobytes()
+        return self
+
+    def predict_proba(self, X):
+        return np.array([self.table[value] for value in X[:, 0]])
+
+
+def test_cascade_matches_the_reference_on_means_one_ulp_apart():
+    # Feature 0 is 1 on majority rows 0-9 and 0 on rows 10-19; feature 1 is
+    # the row number. After two members their sums are 1/15 + 1/3 =
+    # 0.39999999999999997 and 0 + 2/5 = 0.4; halved, they still differ, but
+    # divided by 3 they would tie, and the tie would keep rows by index.
+    X = np.column_stack([[1.0] * 10 + [0.0] * 10 + [2.0] * 3, np.arange(23.0)])
+    data = Dataset(X, np.array([0] * 20 + [1] * 3))
+    tables = [{1.0: 1 / 15, 0.0: 0.0, 2.0: 1.0}, {1.0: 1 / 3, 0.0: 2 / 5, 2.0: 1.0},
+              {1.0: 0.5, 0.0: 0.5, 2.0: 1.0}]
+
+    def scripted():
+        turn = iter(tables)
+        return lambda: ScriptedLearner(next(turn))
+
+    log = []
+    model = cascade_fit(data, SpeConfig(3, scripted(), keep_fp_rate=0.8), log=log)
+    members, pool_sizes = reference_cascade(data, 3, scripted(), 0, 0.8)
+    assert [entry.pool_size for entry in log] == pool_sizes == [20, 16, 13]
+    assert [m.rows_ for m in model.members] == [m.rows_ for m in members]
 
 
 def test_cascade_stops_when_pool_underruns_minority():
