@@ -417,11 +417,7 @@ def test_bench_config_key_is_base_learner(tmp_path, capsys):
     assert rows and all(row.split(",")[1] == "adaboost" for row in rows)
 
 
-@pytest.mark.parametrize("demo", [
-    "07_cli_workflow.py", "02_hardness_and_schedule.py", "01_checkerboard_tour.py",
-    "03_spe_walkthrough.py", "04_method_comparison.py", "05_metrics_tour.py",
-    "06_missing_values.py",
-])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_cli_workflow_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -89,8 +89,9 @@ def test_spe_single_iteration_and_single_bin():
     assert log[1].bin_counts == (600,)
 
 
-def counting_trees(n_rows, calls):
-    """A tree factory whose trees note in `calls` each scoring of `n_rows` rows.
+def counting_trees(calls):
+    """A tree factory whose trees note in `calls` (tree, rows) for each
+    scoring of more than one row.
 
     The trainers score the majority rows through a member's `_score_rows`.
     """
@@ -99,8 +100,8 @@ def counting_trees(n_rows, calls):
         score_rows = tree._score_rows
 
         def counting_score_rows(X, ranks=None):
-            if len(X) == n_rows:
-                calls.append(tree)
+            if len(X) > 1:
+                calls.append((tree, len(X)))
             return score_rows(X, ranks)
 
         tree._score_rows = counting_score_rows
@@ -109,14 +110,16 @@ def counting_trees(n_rows, calls):
     return make
 
 
-def majority_scans(monkeypatch):
-    """Shapes of the majority-sized matrices `np.isfinite` scans from now on."""
+def feature_scans(monkeypatch):
+    """Row counts of the feature matrices of more than one row that
+    `np.isfinite` scans from now on."""
     scans = []
     isfinite = np.isfinite
 
     def counting_isfinite(values, *args, **kwargs):
-        if np.shape(values) == (BOARD.n_majority, BOARD.n_features):
-            scans.append(np.shape(values))
+        shape = np.shape(values)
+        if len(shape) == 2 and shape[1] == BOARD.n_features and shape[0] > 1:
+            scans.append(shape[0])
         return isfinite(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting_isfinite)
@@ -128,41 +131,30 @@ def test_spe_scores_the_majority_once_per_member(n_estimators, monkeypatch):
     # The bootstrap learner and members 1..n-1 score the majority rows for
     # the next iteration's hardness; the last member has no next iteration.
     # None of them checks the majority matrix again.
-    majority_calls = []
-    scans = majority_scans(monkeypatch)
-    factory = counting_trees(BOARD.n_majority, majority_calls)
-    model = spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=factory))
+    calls = []
+    scans = feature_scans(monkeypatch)
+    model = spe_fit(BOARD, SpeConfig(n_estimators=n_estimators,
+                                     base_learner=counting_trees(calls)))
+    majority_calls = [tree for tree, rows in calls if rows == BOARD.n_majority]
     assert len(majority_calls) == n_estimators
     assert len(set(map(id, majority_calls))) == n_estimators
     assert model.members[-1] not in majority_calls
-    assert scans == []
+    assert BOARD.n_majority not in scans
 
 
 @pytest.mark.parametrize("n_estimators", [2, 3, 5])
 def test_cascade_scores_the_majority_once_per_member(n_estimators, monkeypatch):
     # Members 0..n-2 score the rows of the live pool to shrink it; the last
     # member has no next iteration. None of them checks those rows again.
-    pool_calls = []
-    scans = majority_scans(monkeypatch)
-
-    def make():
-        tree = DecisionTreeClassifier(max_depth=4)
-        score_rows = tree._score_rows
-
-        def counting_score_rows(X, ranks=None):
-            if len(X) > 1:
-                pool_calls.append((tree, len(X)))
-            return score_rows(X, ranks)
-
-        tree._score_rows = counting_score_rows
-        return tree
-
+    calls = []
+    scans = feature_scans(monkeypatch)
     log = []
-    model = cascade_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=make), log=log)
+    model = cascade_fit(BOARD, SpeConfig(n_estimators=n_estimators,
+                                         base_learner=counting_trees(calls)), log=log)
     assert len(model.members) == n_estimators
-    assert pool_calls == [(member, entry.pool_size)
-                          for member, entry in zip(model.members[:-1], log)]
-    assert scans == []
+    assert calls == [(member, entry.pool_size)
+                     for member, entry in zip(model.members[:-1], log)]
+    assert not set(scans) & {entry.pool_size for entry in log}
 
 
 def test_spe_is_deterministic():

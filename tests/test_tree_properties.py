@@ -15,7 +15,7 @@ from tree_reference import ReferenceTree, reference_predict_proba
 
 from selfpaced.core import _RANK_BLOCK, MeanScorer, RandomSource, _ColumnRanks
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
-from selfpaced.learners import _DESCENT_BLOCK, DecisionTreeClassifier
+from selfpaced.learners import _DESCENT_BLOCK, _TABLE_CELLS, DecisionTreeClassifier
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
@@ -234,8 +234,8 @@ def assert_ranked_scores_match(tree, probe):
     assert len(_ColumnRanks(rows).blocks) == 2
     expected = reference_predict_proba(tree, rows)
     assert tree._score_rows(rows, _ColumnRanks(rows)).tobytes() == expected.tobytes()
-    # Scoring built the leaf table exactly when the table fits.
-    assert (tree._table[4] is None) == (tree._leaf_table() is None)
+    # Scoring planned the table and built its leaves exactly when it fits.
+    assert (tree._table[4] is not None) == (tree._table[3] <= _TABLE_CELLS)
     # An ensemble shares its ranks among its members.
     mean = MeanScorer([tree, tree]).predict_proba(rows)
     assert mean.tobytes() == ((np.zeros(rows.shape[0]) + expected + expected) / 2).tobytes()
@@ -263,6 +263,6 @@ def test_a_tree_over_the_cell_cap_scores_by_descent():
     gen = RandomSource(8).generator
     X = gen.random((2000, 2))
     tree = DecisionTreeClassifier(max_depth=None).fit(X, gen.integers(0, 2, size=2000))
-    assert tree._leaf_table() is None
     assert_ranked_scores_match(tree, gen.random((500, 2)))
+    assert tree._table[3] > _TABLE_CELLS
     assert tree._table[4] is None
