@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import RandomSource, derive_seed
 from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
-from .ensembles import METHODS, SpeConfig, fit_method
+from .ensembles import METHODS, SpeConfig, _whole, fit_method
 from .learners import LearnerSpec
 # `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
 from .metrics import aucprc, metric_report  # noqa: F401
@@ -59,13 +59,14 @@ class BenchConfig(SpeConfig):
         super().__post_init__()
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; valid: {' | '.join(SUITES)}")
-        for method in self.methods:
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
+        for i, method in enumerate(self.methods):
             if method not in METHODS:
-                raise ValueError(
-                    f"unknown method {method!r}; valid: {' | '.join(METHODS)}"
-                )
-        if int(self.repeats) < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+                raise ValueError(f"unknown method {method!r}; valid: {' | '.join(METHODS)}")
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method!r} is listed twice")
+        _whole(self, "repeats", 1)
         # results.json records the learner by name and parameters.
         if not isinstance(self.base_learner, LearnerSpec):
             raise ValueError(
@@ -95,19 +96,12 @@ class ResultRow:
 
 
 def _dataset_pair(config: BenchConfig, cov: float, repeat: int):
-    train_spec = CheckerboardSpec(
-        cov_scale=cov,
-        n_minority=config.n_minority,
-        n_majority=config.n_majority,
-        seed=derive_seed(config.seed, "train-data", repeat),
+    spec = CheckerboardSpec(cov_scale=cov, n_minority=config.n_minority,
+                            n_majority=config.n_majority)
+    return tuple(
+        generate_checkerboard(replace(spec, seed=derive_seed(config.seed, part, repeat)))
+        for part in ("train-data", "test-data")
     )
-    test_spec = CheckerboardSpec(
-        cov_scale=cov,
-        n_minority=config.n_minority,
-        n_majority=config.n_majority,
-        seed=derive_seed(config.seed, "test-data", repeat),
-    )
-    return generate_checkerboard(train_spec), generate_checkerboard(test_spec)
 
 
 def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -> dict:
@@ -117,75 +111,55 @@ def _fit_and_score(config: BenchConfig, method: str, train, test, repeat: int) -
     return metric_report(test.labels, model.predict_proba(test.features))
 
 
-def _aggregate(config, method, metric, values, errors, param_name=None, param_value=None):
-    return ResultRow(
-        method=method,
-        learner=config.base_learner.name,
-        metric=metric,
-        mean=float(np.mean(values)) if values else float("nan"),
-        std=float(np.std(values)) if values else float("nan"),
-        param_name=param_name,
-        param_value=param_value,
-        values=tuple(values),
-        errors=tuple(errors),
-    )
+def _sweep_points(config: BenchConfig):
+    """Yield (sweep key, value, one (train, test) pair per repeat) per point.
 
-
-def _run_cells(config: BenchConfig, datasets, param_name=None, param_value=None):
-    """Aggregate every configured method over the given (train, test) pairs."""
-    rows = []
-    metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
-    for method in config.methods:
-        collected = {metric: [] for metric in metrics}
-        errors = []
-        for repeat, (train, test) in enumerate(datasets):
-            try:
-                result = _fit_and_score(config, method, train, test, repeat)
-            except Exception as exc:
-                errors.append(f"repeat {repeat}: {exc}")
-                continue
-            for metric in metrics:
-                collected[metric].append(result[metric])
-        for metric in metrics:
-            rows.append(
-                _aggregate(
-                    config, method, metric, collected[metric], errors,
-                    param_name, param_value,
-                )
-            )
-    return rows
+    The checkerboard suite is one point with no sweep key. A point's boards
+    are built when the point is reached.
+    """
+    repeats = range(config.repeats)
+    if config.suite == "checkerboard":
+        yield None, None, [_dataset_pair(config, config.cov, r) for r in repeats]
+    elif config.suite == "overlap-sweep":
+        for cov in OVERLAP_COVS:
+            yield "cov", cov, [_dataset_pair(config, cov, r) for r in repeats]
+    else:
+        # One clean pair per repeat, corrupted at each ratio, so the sweep is
+        # paired across ratios.
+        clean = [_dataset_pair(config, config.cov, r) for r in repeats]
+        rng = RandomSource(config.seed)
+        for ratio in MISSING_RATIOS:
+            yield "missing_ratio", ratio, [
+                (corrupt_missing(train, ratio, rng.child(f"corrupt-train:{ratio}", r)),
+                 corrupt_missing(test, ratio, rng.child(f"corrupt-test:{ratio}", r)))
+                for r, (train, test) in enumerate(clean)
+            ]
 
 
 def run_suite(config: BenchConfig):
-    """Run a benchmark suite and return its aggregated rows."""
-    if config.suite == "checkerboard":
-        datasets = [
-            _dataset_pair(config, config.cov, r) for r in range(config.repeats)
-        ]
-        return _run_cells(config, datasets)
+    """Run a benchmark suite and return its aggregated rows.
 
-    if config.suite == "overlap-sweep":
-        rows = []
-        for cov in OVERLAP_COVS:
-            datasets = [_dataset_pair(config, cov, r) for r in range(config.repeats)]
-            rows.extend(_run_cells(config, datasets, "cov", cov))
-        return rows
-
-    # missing-sweep: one clean pair per repeat, corrupted at each ratio so the
-    # sweep is paired across ratios.
-    base = [_dataset_pair(config, config.cov, r) for r in range(config.repeats)]
-    rng = RandomSource(config.seed)
+    At every sweep point, each method is fitted and scored on each repeat's
+    pair; a failed repeat is recorded in the rows' `errors` and skipped.
+    """
     rows = []
-    for ratio in MISSING_RATIOS:
-        datasets = []
-        for repeat, (train, test) in enumerate(base):
-            datasets.append(
-                (
-                    corrupt_missing(train, ratio, rng.child(f"corrupt-train:{ratio}", repeat)),
-                    corrupt_missing(test, ratio, rng.child(f"corrupt-test:{ratio}", repeat)),
-                )
-            )
-        rows.extend(_run_cells(config, datasets, "missing_ratio", ratio))
+    for param_name, param_value, pairs in _sweep_points(config):
+        metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
+        for method in config.methods:
+            values = {metric: [] for metric in metrics}
+            errors = []
+            for repeat, (train, test) in enumerate(pairs):
+                try:
+                    result = _fit_and_score(config, method, train, test, repeat)
+                except Exception as exc:
+                    errors.append(f"repeat {repeat}: {exc}")
+                    continue
+                for metric in metrics:
+                    values[metric].append(result[metric])
+            for metric, got in values.items():
+                stats = (float(np.mean(got)), float(np.std(got))) if got else (np.nan,) * 2
+                rows.append(ResultRow(method, config.base_learner.name, metric, *stats,
+                                      param_name, param_value, tuple(got), tuple(errors)))
     return rows
 
 

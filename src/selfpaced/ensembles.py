@@ -9,6 +9,7 @@ trainers that draw the same way on the same seed produce the same subsets.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,19 @@ def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
     return member
 
 
+def _whole(config, name, least=None):
+    """Store field `name` of a frozen config as an int, refusing 2.5 or "3"."""
+    value = getattr(config, name)
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    object.__setattr__(config, name, number)
+    return number
+
+
 @dataclass(frozen=True)
 class SpeConfig:
     """Settings for every trainer; each reads only the fields it uses.
@@ -95,10 +109,9 @@ class SpeConfig:
     keep_fp_rate: float | None = None
 
     def __post_init__(self):
-        if int(self.n_estimators) < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        if int(self.k_bins) < 1:
-            raise ValueError(f"k_bins must be >= 1, got {self.k_bins}")
+        _whole(self, "n_estimators", 1)
+        _whole(self, "k_bins", 1)
+        RandomSource(_whole(self, "seed"))
         if self.keep_fp_rate is not None and not 0.0 < float(self.keep_fp_rate) <= 1.0:
             raise ValueError(f"keep_fp_rate must lie in (0, 1], got {self.keep_fp_rate}")
         _resolve_learner(self.base_learner)
@@ -152,8 +165,8 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     (iteration 0 is the bootstrap).
     """
     factory, learner_echo, rng = _start(data, config)
-    n = int(config.n_estimators)
-    k = int(config.k_bins)
+    n = config.n_estimators
+    k = config.k_bins
     hardness_fn = resolve_hardness(config.hardness)
 
     minority = data.minority_indices
@@ -196,7 +209,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
 def easy_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     """Train independent learners on independent random balanced subsets."""
     factory, learner_echo, rng = _start(data, config)
-    n = int(config.n_estimators)
+    n = config.n_estimators
     minority = data.minority_indices
     members = []
     for i in range(n):
@@ -219,7 +232,7 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     iteration.
     """
     factory, learner_echo, rng = _start(data, config)
-    n = int(config.n_estimators)
+    n = config.n_estimators
     if config.keep_fp_rate is None:
         if n < 2:
             raise ValueError(

@@ -10,6 +10,7 @@ second check, and fit checked arrays through a private `_fit(X, y, w)`.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -653,7 +654,11 @@ LEARNER_REGISTRY = {
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Named base-learner recipe resolvable through LEARNER_REGISTRY."""
+    """Named base-learner recipe resolvable through LEARNER_REGISTRY.
+
+    A spec is checked when it is made, by building one learner from it: an
+    unknown parameter, or a value the learner refuses, raises ValueError.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
@@ -662,6 +667,12 @@ class LearnerSpec:
         if self.name not in LEARNER_REGISTRY:
             valid = " | ".join(sorted(LEARNER_REGISTRY))
             raise ValueError(f"unknown base learner {self.name!r}; valid: {valid}")
+        accepted = inspect.signature(LEARNER_REGISTRY[self.name]).parameters
+        for key in self.params:
+            if key not in accepted:
+                raise ValueError(f"base learner {self.name!r} has no parameter {key!r}; "
+                                 f"valid: {' | '.join(accepted)}")
+        self.create()
 
     def create(self):
         return LEARNER_REGISTRY[self.name](**self.params)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfpaced.bench import BenchConfig, run_suite
+from selfpaced.bench import SUITES, BenchConfig, run_suite
 from selfpaced.cli import main
 from selfpaced.data import load_csv
 from selfpaced.ensembles import load_model
@@ -314,26 +314,67 @@ def test_metrics_checks_cells_like_the_csv_reader(tmp_path, capsys, text, messag
     assert err["error"] == f"{path}: {message}"
 
 
-def test_bench_mini_run_and_determinism(tmp_path, capsys):
-    args = ["bench", "--suite", "checkerboard", "--methods", "rand-under,easy",
+# Rows per suite for two methods: four metrics at one point, or AUCPRC at
+# each of three covs or four missing ratios.
+SUITE_ROWS = {"checkerboard": 8, "overlap-sweep": 6, "missing-sweep": 8}
+SWEEP_KEYS = {"checkerboard": None, "overlap-sweep": "cov", "missing-sweep": "missing_ratio"}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_bench_mini_run_and_determinism(tmp_path, capsys, suite):
+    args = ["bench", "--suite", suite, "--methods", "rand-under,easy",
             "--repeats", "2", "--n-minority", "15", "--n-majority", "90",
             "--n-estimators", "2", "--max-depth", "3", "--seed", "6"]
     first = run_cli(capsys, args + ["--output", str(tmp_path / "one")])
-    assert first["suite"] == "checkerboard"
-    assert first["rows"] == 8
+    assert first["suite"] == suite
+    assert first["rows"] == SUITE_ROWS[suite]
     assert first["rows_with_errors"] == 0
 
     run_cli(capsys, args + ["--output", str(tmp_path / "two")])
-    csv_one = (tmp_path / "one" / "results.csv").read_bytes()
-    csv_two = (tmp_path / "two" / "results.csv").read_bytes()
-    assert csv_one == csv_two
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    header = csv_one.decode("utf-8").splitlines()[0]
-    assert header == "method,learner,metric,mean,std"
+    csv_text = (tmp_path / "one" / "results.csv").read_text(encoding="utf-8")
+    header = "method,learner,metric,mean,std"
+    if SWEEP_KEYS[suite] is not None:
+        header = f"{SWEEP_KEYS[suite]},{header}"
+    assert csv_text.splitlines()[0] == header
     doc = json.loads((tmp_path / "one" / "results.json").read_text(encoding="utf-8"))
-    assert doc["suite"] == "checkerboard"
-    assert len(doc["rows"]) == 8
+    assert doc["suite"] == suite
+    assert len(doc["rows"]) == SUITE_ROWS[suite]
     assert all(len(row["values"]) == 2 for row in doc["rows"])
+    assert {row["param_name"] for row in doc["rows"]} == {SWEEP_KEYS[suite]}
+
+
+def test_sweeps_share_the_checkerboard_suite_boards():
+    # Overlap-sweep at the suite's cov, and missing-sweep at ratio 0.0, fit
+    # the same methods on the same boards with the same seeds as the plain
+    # checkerboard suite, so their AUCPRC values match it bit for bit.
+    settings = dict(methods=("rand-under", "spe"), repeats=2, n_minority=15,
+                    n_majority=90, n_estimators=2, seed=11,
+                    base_learner=LearnerSpec("tree", {"max_depth": 3}))
+
+    def aucprc_values(suite, param_value):
+        rows = run_suite(BenchConfig(suite=suite, **settings))
+        return {row.method: row.values for row in rows
+                if row.metric == "aucprc" and row.param_value == param_value}
+
+    plain = aucprc_values("checkerboard", None)
+    assert sorted(plain) == ["rand-under", "spe"]
+    assert all(len(values) == 2 for values in plain.values())
+    assert aucprc_values("overlap-sweep", BenchConfig.cov) == plain
+    assert aucprc_values("missing-sweep", 0.0) == plain
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"repeats": 1.5}, r"^repeats must be an integer, got 1.5$"),
+    ({"repeats": 0}, r"^repeats must be >= 1, got 0$"),
+    ({"methods": ()}, r"^methods must name at least one method$"),
+    ({"methods": ("spe", "easy", "spe")}, r"^method 'spe' is listed twice$"),
+])
+def test_bench_config_checks_repeats_and_methods(settings, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(**settings)
 
 
 def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys):
@@ -363,6 +404,12 @@ TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",
     (["--k-bins", "0"], "k_bins must be >= 1, got 0"),
     (["--n-estimators", "0"], "n_estimators must be >= 1, got 0"),
     (["--keep-fp-rate", "2"], "keep_fp_rate must lie in (0, 1], got 2.0"),
+    # A bad learner setting or method list is refused as early.
+    (["--max-depth", "0"], "max_depth must be >= 1 or None, got 0"),
+    (["--base-learner", "adaboost", "--weak-depth", "0"],
+     "weak_learner_depth must be >= 1, got 0"),
+    (["--methods", ""], "methods must name at least one method"),
+    (["--methods", "easy,spe,easy"], "method 'easy' is listed twice"),
 ])
 def test_bench_refuses_a_bad_trainer_setting_before_any_cell(tmp_path, capsys, flags, message):
     output = tmp_path / "out"

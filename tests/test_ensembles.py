@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from cascade_reference import reference_cascade, reference_mean
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from spe_reference import reference_spe
 
 from selfpaced.core import Dataset, EnsembleModel
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
@@ -20,6 +23,7 @@ from selfpaced.ensembles import (
     save_model,
     spe_fit,
 )
+from selfpaced.hardness import HARDNESS_FUNCTIONS
 from selfpaced.learners import _TABLE_CELLS, DecisionTreeClassifier, LearnerSpec
 from selfpaced.sampling import self_paced_alpha
 
@@ -212,10 +216,31 @@ def test_config_echo_per_method(method):
     ({"keep_fp_rate": float("nan")}, r"keep_fp_rate must lie in \(0, 1\], got nan"),
     ({"hardness": "hinge"}, r"unknown hardness function 'hinge'"),
     ({"base_learner": 42}, r"base_learner must be .*; got int"),
+    ({"n_estimators": 2.5}, r"^n_estimators must be an integer, got 2.5$"),
+    ({"k_bins": 3.7}, r"^k_bins must be an integer, got 3.7$"),
+    ({"k_bins": "3"}, r"^k_bins must be an integer, got '3'$"),
+    ({"seed": 1.5}, r"^seed must be an integer, got 1.5$"),
+    ({"seed": -1}, r"^seed must be a 64-bit unsigned integer, got -1$"),
+    ({"seed": 2**64}, r"^seed must be a 64-bit unsigned integer, got 18446744073709551616$"),
 ])
 def test_spe_config_checks_its_fields_when_made(settings, message):
     with pytest.raises(ValueError, match=message):
         SpeConfig(**settings)
+
+
+def test_fit_method_refuses_non_integer_counts():
+    with pytest.raises(ValueError, match="n_estimators must be an integer, got 2.5"):
+        fit_method(BOARD, "spe", n_estimators=2.5, k_bins=3.7)
+
+
+def test_spe_config_stores_numpy_counts_as_ints(tmp_path):
+    config = SpeConfig(n_estimators=np.int64(2), k_bins=np.int32(3), seed=np.uint64(7))
+    assert [type(v) for v in (config.n_estimators, config.k_bins, config.seed)] == [int] * 3
+    model = fit_method(BOARD, "spe", base_learner=shallow_tree(), n_estimators=np.int64(2),
+                       k_bins=np.int32(3), seed=np.uint64(7))
+    assert model.config["n_estimators"] == 2 and model.config["k_bins"] == 3
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json").config == model.config
 
 
 def test_spe_validation():
@@ -316,6 +341,85 @@ def test_cascade_matches_the_reference(n_minority, n_majority, seed, n, rate, le
     assert [entry.pool_size for entry in log] == pool_sizes
     probe = data.features[::5]
     assert model.predict_proba(probe).tobytes() == reference_mean(members, probe).tobytes()
+
+
+class EchoLearner:
+    """Scores a row by its feature 0, which lies in [0, 1], and keeps the rows
+    it was fitted on as its document."""
+
+    def fit(self, X, y):
+        self.rows_ = X.tolist()
+        self.n_features_in_ = X.shape[1]
+        return self
+
+    def predict_proba(self, X):
+        return np.array(X[:, 0], dtype=np.float64)
+
+    def to_json_doc(self):
+        return {"rows": self.rows_}
+
+
+def echo_board(levels, n_minority):
+    """Majority row j scores levels[j] under EchoLearner, a minority row 1;
+    feature 1 is the row number."""
+    x0 = [*levels, *[1.0] * n_minority]
+    X = np.column_stack([x0, np.arange(len(x0), dtype=np.float64)])
+    return Dataset(X, np.array([0] * len(levels) + [1] * n_minority))
+
+
+# Majority scores under EchoLearner: 0 and 1e-13 both weigh 1 / 1e-12 while
+# alpha is 0, so an odd quota split between them ties on remainders.
+ECHO_LEVELS = (0.0, 1e-13, 0.25, 0.5, 0.75, 1.0)
+# Every majority row scores 0.5, so all hardness ties into bin 0.
+TIED_BOARD = echo_board([0.5] * 12, 5)
+# Over three bins, bin 1 is empty, and the first draw's five rows tie
+# between bins 0 and 2.
+SPLIT_BOARD = echo_board([0.0, 1e-13] * 6 + [0.0], 5)
+
+
+@st.composite
+def spe_boards(draw):
+    """(board, learner): a small checkerboard under depth-3 trees, or an
+    echo board under EchoLearner."""
+    n_minority = draw(st.integers(min_value=5, max_value=25))
+    if draw(st.booleans()):
+        n_majority = draw(st.integers(min_value=n_minority, max_value=200))
+        spec = CheckerboardSpec(n_minority=n_minority, n_majority=n_majority,
+                                seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        return generate_checkerboard(spec), LearnerSpec("tree", {"max_depth": 3})
+    levels = draw(st.lists(st.sampled_from(ECHO_LEVELS), min_size=n_minority, max_size=60))
+    return echo_board(levels, n_minority), EchoLearner
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    board=spe_boards(),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.sampled_from((1, 3, 7, 20)),
+    n=st.integers(min_value=1, max_value=6),
+    hardness=st.sampled_from(sorted(HARDNESS_FUNCTIONS)),
+)
+@example(board=(TIED_BOARD, EchoLearner), seed=3, k=7, n=4, hardness="cross-entropy")
+@example(board=(SPLIT_BOARD, EchoLearner), seed=8, k=3, n=3, hardness="absolute")
+def test_spe_matches_the_reference(board, seed, k, n, hardness):
+    data, learner = board
+    log = []
+    model = spe_fit(data, SpeConfig(n, learner, k, hardness, seed), log=log)
+    make_learner = learner.create if isinstance(learner, LearnerSpec) else learner
+    members, alphas, counts = reference_spe(data, n, make_learner, seed, k, hardness)
+    assert [m.to_json_doc() for m in model.members] == [m.to_json_doc() for m in members]
+    assert [entry.alpha for entry in log[1:]] == alphas
+    assert [entry.bin_counts for entry in log[1:]] == counts
+    probe = data.features[::3]
+    assert model.predict_proba(probe).tobytes() == reference_mean(members, probe).tobytes()
+
+
+def test_spe_reference_examples_hold_tied_and_empty_bins():
+    tied, split = [], []
+    spe_fit(TIED_BOARD, SpeConfig(4, EchoLearner, 7, "cross-entropy", 3), log=tied)
+    spe_fit(SPLIT_BOARD, SpeConfig(3, EchoLearner, 3, "absolute", 8), log=split)
+    assert [entry.bin_counts for entry in tied[1:]] == [(12, 0, 0, 0, 0, 0, 0)] * 4
+    assert split[1].bin_counts == (7, 0, 6)
 
 
 class ScriptedLearner:

@@ -474,6 +474,17 @@ def test_learner_registry_and_spec():
         LearnerSpec("svm")
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("tree", {"nope": 1}, r"base learner 'tree' has no parameter 'nope'"),
+    ("adaboost", {"max_depth": 2}, r"base learner 'adaboost' has no parameter 'max_depth'"),
+    ("tree", {"max_depth": 0}, r"^max_depth must be >= 1 or None, got 0$"),
+    ("adaboost", {"learning_rate": -1.0}, r"^learning_rate must be positive, got -1.0$"),
+])
+def test_learner_spec_checks_its_parameters_when_made(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        LearnerSpec(name, params)
+
+
 def test_learner_doc_dispatch_errors():
     with pytest.raises(ValueError, match="to_json_doc"):
         learner_to_doc(object())
