@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RandomSource, derive_seed
+from .core import RandomSource, _whole, derive_seed
 from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
-from .ensembles import METHODS, SpeConfig, _whole, fit_method
+from .ensembles import METHODS, SpeConfig, fit_method
 from .learners import LearnerSpec
 # `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
 from .metrics import aucprc, metric_report  # noqa: F401
@@ -44,16 +44,16 @@ class BenchConfig(SpeConfig):
     """The trainer settings of `SpeConfig` plus the suite's own.
 
     `seed` is the suite seed: each repeat draws its boards and fits its
-    models with seeds derived from it.
+    models with seeds derived from it. The board shape takes its defaults
+    and its checks from `CheckerboardSpec`.
     """
 
-    base_learner: LearnerSpec = LearnerSpec("tree", {"max_depth": 10})
     suite: str = "checkerboard"
     methods: tuple = ("rand-under", "easy", "cascade", "spe")
     repeats: int = 10
-    cov: float = 0.1
-    n_minority: int = 1000
-    n_majority: int = 10000
+    cov: float = CheckerboardSpec.cov_scale
+    n_minority: int = CheckerboardSpec.n_minority
+    n_majority: int = CheckerboardSpec.n_majority
 
     def __post_init__(self):
         super().__post_init__()
@@ -67,6 +67,8 @@ class BenchConfig(SpeConfig):
             if method in self.methods[:i]:
                 raise ValueError(f"method {method!r} is listed twice")
         _whole(self, "repeats", 1)
+        CheckerboardSpec(cov_scale=self.cov, n_minority=_whole(self, "n_minority"),
+                         n_majority=_whole(self, "n_majority"))
         # results.json records the learner by name and parameters.
         if not isinstance(self.base_learner, LearnerSpec):
             raise ValueError(

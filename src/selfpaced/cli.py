@@ -11,7 +11,7 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,6 +35,14 @@ __all__ = ["main"]
 
 _HARDNESS_CHOICES = tuple(sorted(HARDNESS_FUNCTIONS))
 _SPLIT_CHOICES = ("train", "validation", "test", "all")
+# flag -> constructor parameter, per built-in learner; each flag's default
+# and type are those of the parameter in a default LearnerSpec.
+_LEARNER_FLAGS = {
+    "tree": {"--max-depth": "max_depth", "--min-samples-split": "min_samples_split",
+             "--min-impurity-decrease": "min_impurity_decrease"},
+    "adaboost": {"--boost-rounds": "n_estimators", "--weak-depth": "weak_learner_depth",
+                 "--learning-rate": "learning_rate"},
+}
 
 
 def _emit_error(message: str, status: int):
@@ -62,16 +70,16 @@ def _add_data_options(sub, labelled=True):
                          help="label value mapped to class 1 (default: 1)")
         sub.add_argument("--checkerboard", action="store_true",
                          help="generate checkerboard data instead of reading --data")
-        sub.add_argument("--data-seed", type=int, default=0,
+        sub.add_argument("--data-seed", type=int, default=CheckerboardSpec.seed,
                          help="seed for --checkerboard generation")
         _add_board_shape_options(sub)
 
 
 def _add_board_shape_options(sub):
-    sub.add_argument("--cov", type=float, default=0.1,
+    sub.add_argument("--cov", type=float, default=CheckerboardSpec.cov_scale,
                      help="checkerboard component covariance scale")
-    sub.add_argument("--n-minority", type=int, default=1000)
-    sub.add_argument("--n-majority", type=int, default=10000)
+    sub.add_argument("--n-minority", type=int, default=CheckerboardSpec.n_minority)
+    sub.add_argument("--n-majority", type=int, default=CheckerboardSpec.n_majority)
 
 
 def _add_split_options(sub, default_split):
@@ -82,19 +90,15 @@ def _add_split_options(sub, default_split):
 
 
 def _add_learner_options(sub):
-    sub.add_argument("--base-learner", choices=("tree", "adaboost", "external"),
-                     default="tree")
+    sub.add_argument("--base-learner", choices=(*_LEARNER_FLAGS, "external"),
+                     default=SpeConfig.base_learner)
     sub.add_argument("--learner-factory",
                      help="module:callable for --base-learner external")
-    sub.add_argument("--max-depth", type=int, default=10,
-                     help="tree depth limit (default: 10)")
-    sub.add_argument("--min-samples-split", type=int, default=2)
-    sub.add_argument("--min-impurity-decrease", type=float, default=0.0)
-    sub.add_argument("--boost-rounds", type=int, default=10,
-                     help="adaboost rounds (default: 10)")
-    sub.add_argument("--weak-depth", type=int, default=1,
-                     help="adaboost weak learner depth (default: 1)")
-    sub.add_argument("--learning-rate", type=float, default=1.0)
+    for name, flags in _LEARNER_FLAGS.items():
+        defaults = LearnerSpec(name).params
+        for flag, param in flags.items():
+            sub.add_argument(flag, type=type(defaults[param]), default=defaults[param],
+                             help=f"{name} {param} (default: {defaults[param]})")
 
 
 def _add_method_options(sub):
@@ -125,7 +129,7 @@ def build_parser():
 
     sub = register("generate", "sample a checkerboard dataset to CSV")
     _add_board_shape_options(sub)
-    sub.add_argument("--grid-size", type=int, default=4)
+    sub.add_argument("--grid-size", type=int, default=CheckerboardSpec.grid_size)
 
     sub = register("train", "train an ensemble and write model + report")
     _add_data_options(sub)
@@ -150,10 +154,10 @@ def build_parser():
     sub.add_argument("--threshold", type=float, default=0.5)
 
     sub = register("bench", "run a benchmark suite")
-    sub.add_argument("--suite", choices=SUITES, default="checkerboard")
-    sub.add_argument("--methods", default="rand-under,easy,cascade,spe",
+    sub.add_argument("--suite", choices=SUITES, default=BenchConfig.suite)
+    sub.add_argument("--methods", default=",".join(BenchConfig.methods),
                      help="comma-separated method list")
-    sub.add_argument("--repeats", type=int, default=10)
+    sub.add_argument("--repeats", type=int, default=BenchConfig.repeats)
     _add_board_shape_options(sub)
     _add_method_options(sub)
     _add_learner_options(sub)
@@ -207,6 +211,12 @@ def _parse_fractions(text):
     return tuple(parts)
 
 
+def _board_spec(args, **own):
+    """The CheckerboardSpec of the board shape flags plus a command's own fields."""
+    return CheckerboardSpec(cov_scale=args.cov, n_minority=args.n_minority,
+                            n_majority=args.n_majority, **own)
+
+
 def _load_dataset(args):
     """Dataset from --data CSV or --checkerboard flags, plus a source echo."""
     if args.data:
@@ -218,12 +228,7 @@ def _load_dataset(args):
         )
         return loaded.data, {"path": args.data, "n_missing_imputed": loaded.n_missing}
     if getattr(args, "checkerboard", False):
-        spec = CheckerboardSpec(
-            cov_scale=args.cov,
-            n_minority=args.n_minority,
-            n_majority=args.n_majority,
-            seed=args.data_seed,
-        )
+        spec = _board_spec(args, seed=args.data_seed)
         return generate_checkerboard(spec), {"checkerboard": asdict(spec)}
     raise ValueError("no input data: pass --data <csv> or --checkerboard")
 
@@ -250,32 +255,21 @@ def _import_factory(spec_text):
 
 
 def _learner_from_args(args):
-    if args.base_learner == "tree":
-        return LearnerSpec("tree", {
-            "max_depth": args.max_depth,
-            "min_samples_split": args.min_samples_split,
-            "min_impurity_decrease": args.min_impurity_decrease,
-        })
-    if args.base_learner == "adaboost":
-        return LearnerSpec("adaboost", {
-            "n_estimators": args.boost_rounds,
-            "weak_learner_depth": args.weak_depth,
-            "learning_rate": args.learning_rate,
+    flags = _LEARNER_FLAGS.get(args.base_learner)
+    if flags is not None:
+        return LearnerSpec(args.base_learner, {
+            param: getattr(args, flag[2:].replace("-", "_")) for flag, param in flags.items()
         })
     if not args.learner_factory:
         raise ValueError("--base-learner external requires --learner-factory")
     return _import_factory(args.learner_factory)
 
 
-def _fit_fields(args):
-    """The SpeConfig fields that train and bench read from the same flags."""
-    return {
-        "base_learner": _learner_from_args(args),
-        "n_estimators": args.n_estimators,
-        "k_bins": args.k_bins,
-        "hardness": args.hardness,
-        "keep_fp_rate": args.keep_fp_rate,
-    }
+def _fit_fields(args, config_type=SpeConfig):
+    """The fields of `config_type` from the flags whose dest they name; the
+    base learner from its learner flags."""
+    return {**{f.name: getattr(args, f.name) for f in fields(config_type)},
+            "base_learner": _learner_from_args(args)}
 
 
 def _print_json(payload):
@@ -289,13 +283,7 @@ def _write_json(path, payload):
 
 
 def cmd_generate(args) -> int:
-    spec = CheckerboardSpec(
-        cov_scale=args.cov,
-        n_minority=args.n_minority,
-        n_majority=args.n_majority,
-        seed=args.seed,
-        grid_size=args.grid_size,
-    )
+    spec = _board_spec(args, seed=args.seed, grid_size=args.grid_size)
     data = generate_checkerboard(spec)
     output = args.output or "checkerboard.csv"
     save_csv(data, output)
@@ -315,7 +303,7 @@ def cmd_train(args) -> int:
     data, source = _load_dataset(args)
     part = _select_split(data, args)
     log = []
-    model = fit_method(part, args.method, seed=args.seed, log=log, **_fit_fields(args))
+    model = fit_method(part, args.method, log=log, **_fit_fields(args))
     model_path = args.output or "model.json"
     save_model(model, model_path)
     report = {
@@ -406,16 +394,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in str(args.methods).split(",") if m.strip())
-    config = BenchConfig(
-        suite=args.suite,
-        methods=methods,
-        repeats=args.repeats,
-        seed=args.seed,
-        cov=args.cov,
-        n_minority=args.n_minority,
-        n_majority=args.n_majority,
-        **_fit_fields(args),
-    )
+    config = BenchConfig(**{**_fit_fields(args, BenchConfig), "methods": methods})
     rows = run_suite(config)
     csv_path, json_path = write_results(rows, args.output or "bench-results", config)
     failed = [row for row in rows if row.errors]

@@ -6,6 +6,7 @@ Label convention throughout the package: 1 is the minority/positive class,
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -19,6 +20,21 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64 - 1
+
+
+def _whole(config, name, least=None):
+    """Store field `name` of a frozen config as an int, refusing 2.5, "3" or True."""
+    value = getattr(config, name)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    object.__setattr__(config, name, number)
+    return number
 
 
 def _non_finite_cell(features):

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RandomSource, _non_finite_cell
+from .core import Dataset, RandomSource, _non_finite_cell, _whole
 
 __all__ = [
     "CheckerboardSpec",
@@ -31,6 +31,9 @@ class CheckerboardSpec:
     so class 1 (the minority) holds the odd-parity cells. Every sample picks
     one of its class's components uniformly, then adds N(0, cov_scale * I)
     noise.
+
+    Every field is checked when the spec is made: the counts, `grid_size`
+    and `seed` must be integers, and `seed` a 64-bit unsigned one.
     """
 
     cov_scale: float = 0.1
@@ -42,10 +45,10 @@ class CheckerboardSpec:
     def __post_init__(self):
         if not self.cov_scale > 0:
             raise ValueError(f"cov_scale must be positive, got {self.cov_scale}")
-        if self.n_minority < 1 or self.n_majority < 1:
+        if _whole(self, "n_minority") < 1 or _whole(self, "n_majority") < 1:
             raise ValueError("both class counts must be positive")
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
+        _whole(self, "grid_size", 2)
+        RandomSource(_whole(self, "seed"))
 
     def class_means(self, cls: int) -> np.ndarray:
         """Component centers of one class, in row-major grid order."""

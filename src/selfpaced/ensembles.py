@@ -9,12 +9,11 @@ trainers that draw the same way on the same seed produce the same subsets.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_scores
+from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_scores, _whole
 from .hardness import resolve_hardness
 from .learners import LearnerSpec, learner_from_doc, learner_to_doc
 from .sampling import (
@@ -49,9 +48,6 @@ def _resolve_learner(base_learner):
     """Normalize a learner request into (factory, json-safe echo)."""
     if isinstance(base_learner, LearnerSpec):
         return base_learner.create, {"name": base_learner.name, "params": dict(base_learner.params)}
-    if isinstance(base_learner, str):
-        spec = LearnerSpec(base_learner)
-        return spec.create, {"name": spec.name, "params": {}}
     if callable(base_learner):
         return base_learner, {"name": "external", "factory": repr(base_learner)}
     raise ValueError(
@@ -78,19 +74,6 @@ def _fit_member(factory, data: Dataset, majority_rows, minority_rows):
     return member
 
 
-def _whole(config, name, least=None):
-    """Store field `name` of a frozen config as an int, refusing 2.5 or "3"."""
-    value = getattr(config, name)
-    try:
-        number = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and number < least:
-        raise ValueError(f"{name} must be >= {least}, got {number}")
-    object.__setattr__(config, name, number)
-    return number
-
-
 @dataclass(frozen=True)
 class SpeConfig:
     """Settings for every trainer; each reads only the fields it uses.
@@ -98,7 +81,8 @@ class SpeConfig:
     `k_bins` and `hardness` steer spe. `keep_fp_rate` steers cascade, and
     None derives it from the imbalance. The one-learner baselines ignore
     `n_estimators`. Every field is checked here, once, when the config is
-    made; a trainer adds only its method's own rules on its data.
+    made, and a learner name becomes its filled `LearnerSpec`; a trainer
+    adds only its method's own rules on its data.
     """
 
     n_estimators: int = 10
@@ -114,6 +98,8 @@ class SpeConfig:
         RandomSource(_whole(self, "seed"))
         if self.keep_fp_rate is not None and not 0.0 < float(self.keep_fp_rate) <= 1.0:
             raise ValueError(f"keep_fp_rate must lie in (0, 1], got {self.keep_fp_rate}")
+        if isinstance(self.base_learner, str):
+            object.__setattr__(self, "base_learner", LearnerSpec(self.base_learner))
         _resolve_learner(self.base_learner)
         resolve_hardness(self.hardness)
 

@@ -61,20 +61,13 @@ HARDNESS_FUNCTIONS = {
     "cross-entropy": cross_entropy,
 }
 
-_ALIASES = {
-    "absolute_error": "absolute",
-    "squared_error": "squared",
-    "cross_entropy": "cross-entropy",
-}
-
 
 def resolve_hardness(spec):
-    """Map an identifier (or pass a callable through) to a hardness function."""
+    """Map a HARDNESS_FUNCTIONS name (or pass a callable through) to a hardness function."""
     if callable(spec):
         return spec
-    name = _ALIASES.get(spec, spec)
     try:
-        return HARDNESS_FUNCTIONS[name]
+        return HARDNESS_FUNCTIONS[spec]
     except KeyError:
         valid = " | ".join(sorted(HARDNESS_FUNCTIONS))
         raise ValueError(f"unknown hardness function {spec!r}; valid: {valid}") from None

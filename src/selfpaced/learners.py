@@ -652,12 +652,27 @@ LEARNER_REGISTRY = {
 }
 
 
+class _FrozenParams(dict):
+    """A dict whose writers raise; it pickles and copies as a fresh one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a LearnerSpec's params are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Named base-learner recipe resolvable through LEARNER_REGISTRY.
 
-    A spec is checked when it is made, by building one learner from it: an
-    unknown parameter, or a value the learner refuses, raises ValueError.
+    A spec holds every constructor parameter of its learner, in signature
+    order: those not given take the constructor's default. The params are a
+    read-only copy, checked when the spec is made by building one learner:
+    an unknown parameter, or a value the learner refuses, raises ValueError.
     """
 
     name: str
@@ -672,6 +687,8 @@ class LearnerSpec:
             if key not in accepted:
                 raise ValueError(f"base learner {self.name!r} has no parameter {key!r}; "
                                  f"valid: {' | '.join(accepted)}")
+        filled = {key: self.params.get(key, p.default) for key, p in accepted.items()}
+        object.__setattr__(self, "params", _FrozenParams(filled))
         self.create()
 
     def create(self):

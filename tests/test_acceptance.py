@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_aucprc, formula_confusion_scores, random_scored_instance
-from selfpaced.bench import BenchConfig, run_suite
+from selfpaced.bench import BenchConfig, run_suite, write_results
 from selfpaced.cli import main
 from selfpaced.core import RandomSource
 from selfpaced.data import CheckerboardSpec, corrupt_missing, generate_checkerboard
@@ -47,17 +47,36 @@ def report(line):
     print(f"\n{line}")
 
 
-def test_criterion_1_checkerboard_ordering():
-    # Tree depth 10, n=10, k=20, absolute hardness, 10 paired seeds.
+@pytest.fixture(scope="module")
+def default_suite(tmp_path_factory):
+    """One timed run of the default suite at seed 0, written as `bench` writes it.
+
+    Criterion 1 reads its rows and time, criterion 8 its files.
+    """
     start = time.perf_counter()
-    means = bench_aucprc_means(
+    config = BenchConfig(seed=0)
+    rows = run_suite(config)
+    elapsed = time.perf_counter() - start
+    out_dir = tmp_path_factory.mktemp("default-suite")
+    write_results(rows, out_dir, config)
+    return config, rows, elapsed, out_dir
+
+
+def test_criterion_1_checkerboard_ordering(default_suite):
+    # Tree depth 10, n=10, k=20, absolute hardness, 10 paired seeds: the
+    # default suite.
+    config, rows, elapsed, _ = default_suite
+    assert config == BenchConfig(
         suite="checkerboard",
         methods=("rand-under", "easy", "cascade", "spe"),
         base_learner=LearnerSpec("tree", {"max_depth": 10}),
-        repeats=10,
-        seed=0,
+        n_estimators=10, k_bins=20, hardness="absolute", repeats=10, seed=0,
     )
-    elapsed = time.perf_counter() - start
+    means = {}
+    for row in rows:
+        if row.metric == "aucprc":
+            assert not row.errors, f"{row.method} had failing repeats: {row.errors}"
+            means[row.method] = row.mean
     ok = (
         0.47 <= means["spe"] <= 0.66
         and means["spe"] > means["easy"]
@@ -256,20 +275,21 @@ def test_criterion_7_metric_oracles():
     )
 
 
-def test_criterion_8_benchmark_determinism(tmp_path, capsys):
-    outputs = []
-    for name in ("first", "second"):
-        out_dir = tmp_path / name
-        status = main(["bench", "--seed", "0", "--output", str(out_dir)])
-        assert status == 0
-        outputs.append((out_dir / "results.csv").read_bytes())
+def test_criterion_8_benchmark_determinism(default_suite, tmp_path, capsys):
+    # The library's default suite and a default CLI bench are two runs of
+    # one configuration, so they write the same bytes.
+    status = main(["bench", "--seed", "0", "--output", str(tmp_path)])
+    assert status == 0
     capsys.readouterr()
-    identical = outputs[0] == outputs[1]
+    names = ("results.csv", "results.json")
+    identical = {name: (default_suite[3] / name).read_bytes() == (tmp_path / name).read_bytes()
+                 for name in names}
     report(
-        f"criterion 8: {'PASS' if identical else 'FAIL'} - two default bench "
-        f"runs, results.csv byte-identical: {identical}"
+        f"criterion 8: {'PASS' if all(identical.values()) else 'FAIL'} - two default bench "
+        f"runs (library and CLI), results.csv byte-identical: {identical['results.csv']}, "
+        f"results.json byte-identical: {identical['results.json']}"
     )
-    assert identical
+    assert all(identical.values()), identical
 
 
 def test_criterion_9_missing_value_mechanism():

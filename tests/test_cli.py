@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfpaced.bench import SUITES, BenchConfig, run_suite
-from selfpaced.cli import main
-from selfpaced.data import load_csv
-from selfpaced.ensembles import load_model
+from selfpaced.bench import SUITES, BenchConfig, run_suite, write_results
+from selfpaced.cli import build_parser, main
+from selfpaced.data import CheckerboardSpec, generate_checkerboard, load_csv
+from selfpaced.ensembles import SpeConfig, fit_method, load_model
 from selfpaced.learners import LearnerSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -377,6 +377,16 @@ def test_bench_config_checks_repeats_and_methods(settings, message):
         BenchConfig(**settings)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"n_minority": 0}, r"^both class counts must be positive$"),
+    ({"cov": 0.0}, r"^cov_scale must be positive, got 0.0$"),
+    ({"n_majority": 2.5}, r"^n_majority must be an integer, got 2.5$"),
+])
+def test_bench_config_checks_the_board_when_made(settings, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(**settings)
+
+
 def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys):
     # cascade's default keep rate needs two members, so each repeat fails.
     with pytest.raises(SystemExit) as info:
@@ -591,3 +601,65 @@ def test_unknown_bench_method_is_runtime_error(capsys):
     )
     assert code == 1
     assert "teleport" in err["error"]
+
+
+# Each flag's declaration, written out here: a learner flag is a parameter of
+# a default LearnerSpec, a board flag a CheckerboardSpec field, and a bench or
+# trainer flag a BenchConfig or SpeConfig field.
+_LEARNER_DEFAULTS = {"tree": LearnerSpec("tree").params,
+                     "adaboost": LearnerSpec("adaboost").params}
+DECLARED_DEFAULTS = {
+    "max_depth": _LEARNER_DEFAULTS["tree"]["max_depth"],
+    "min_samples_split": _LEARNER_DEFAULTS["tree"]["min_samples_split"],
+    "min_impurity_decrease": _LEARNER_DEFAULTS["tree"]["min_impurity_decrease"],
+    "boost_rounds": _LEARNER_DEFAULTS["adaboost"]["n_estimators"],
+    "weak_depth": _LEARNER_DEFAULTS["adaboost"]["weak_learner_depth"],
+    "learning_rate": _LEARNER_DEFAULTS["adaboost"]["learning_rate"],
+    "cov": CheckerboardSpec.cov_scale,
+    "n_minority": CheckerboardSpec.n_minority,
+    "n_majority": CheckerboardSpec.n_majority,
+    "grid_size": CheckerboardSpec.grid_size,
+    "data_seed": CheckerboardSpec.seed,
+    "suite": BenchConfig.suite,
+    "methods": ",".join(BenchConfig.methods),
+    "repeats": BenchConfig.repeats,
+    "base_learner": SpeConfig.base_learner,
+    "n_estimators": SpeConfig.n_estimators,
+    "k_bins": SpeConfig.k_bins,
+    "hardness": SpeConfig.hardness,
+    "keep_fp_rate": SpeConfig.keep_fp_rate,
+}
+
+
+def test_every_setting_flag_defaults_to_its_declaration():
+    _, subs = build_parser()
+    seen = set()
+    for command, sub in subs.items():
+        for action in sub._actions:
+            if action.dest in DECLARED_DEFAULTS:
+                seen.add(action.dest)
+                declared = DECLARED_DEFAULTS[action.dest]
+                assert action.default == declared, (command, action.dest)
+                if action.type is not None and declared is not None:
+                    assert type(declared) is action.type, (command, action.dest)
+    assert seen == set(DECLARED_DEFAULTS)
+    assert BenchConfig().base_learner == LearnerSpec("tree")
+    assert (BenchConfig.cov, BenchConfig.n_minority, BenchConfig.n_majority) == (
+        CheckerboardSpec.cov_scale, CheckerboardSpec.n_minority, CheckerboardSpec.n_majority)
+
+
+def test_library_and_cli_bench_write_the_same_bytes(tmp_path, capsys):
+    config = BenchConfig(repeats=1, n_minority=15, n_majority=90, n_estimators=2, seed=6)
+    write_results(run_suite(config), tmp_path / "library", config)
+    run_cli(capsys, ["bench", "--repeats", "1", "--n-minority", "15", "--n-majority", "90",
+                     "--n-estimators", "2", "--seed", "6", "--output", str(tmp_path / "cli")])
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "library" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+def test_library_spe_echoes_the_config_of_a_default_cli_train(tmp_path, capsys):
+    run_cli(capsys, ["train", *SMALL_BOARD, "--output", str(tmp_path / "model.json")])
+    board = generate_checkerboard(CheckerboardSpec(n_minority=30, n_majority=300, seed=3))
+    echo, cli_echo = fit_method(board, "spe").config, load_model(tmp_path / "model.json").config
+    assert echo["base_learner"] == cli_echo["base_learner"]
+    assert list(echo.items()) == list(cli_echo.items())

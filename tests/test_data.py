@@ -26,6 +26,25 @@ def test_spec_validation():
         CheckerboardSpec(grid_size=1)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"n_majority": 2.5}, r"^n_majority must be an integer, got 2.5$"),
+    ({"n_minority": True}, r"^n_minority must be an integer, got True$"),
+    ({"grid_size": 2.5}, r"^grid_size must be an integer, got 2.5$"),
+    ({"seed": -1}, r"^seed must be a 64-bit unsigned integer, got -1$"),
+    ({"n_minority": -3}, r"^both class counts must be positive$"),
+])
+def test_spec_refuses_bad_values_when_made(settings, message):
+    with pytest.raises(ValueError, match=message):
+        CheckerboardSpec(**settings)
+
+
+def test_spec_stores_numpy_counts_as_ints():
+    spec = CheckerboardSpec(n_minority=np.int64(5), n_majority=np.int32(9),
+                            seed=np.uint64(2), grid_size=np.int16(3))
+    values = (spec.n_minority, spec.n_majority, spec.seed, spec.grid_size)
+    assert [type(v) for v in values] == [int] * 4
+
+
 def test_spec_class_means_alternate_by_parity():
     spec = CheckerboardSpec()
     minority_means = spec.class_means(1)

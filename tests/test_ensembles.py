@@ -176,14 +176,19 @@ def test_spe_config_echo():
     assert model.config["n_estimators"] == 2
     assert model.config["k_bins"] == 20
     assert model.config["hardness"] == "absolute"
-    assert model.config["base_learner"] == {"name": "tree", "params": {"max_depth": 4}}
+    assert model.config["base_learner"] == _TREE4
+    # Every constructor parameter, in signature order.
+    assert list(model.config["base_learner"]["params"]) == [
+        "max_depth", "min_samples_split", "min_impurity_decrease"]
     assert model.seed == 0
 
 
 # Written at the release before the trainers shared one config: fit_method on
 # BOARD with n_estimators=3, k_bins=5, hardness="squared" and seed 4, over
-# depth-4 trees. Key order is part of the model file.
-_TREE4 = {"name": "tree", "params": {"max_depth": 4}}
+# depth-4 trees. Key order is part of the model file. The learner echo lists
+# every tree parameter since a LearnerSpec fills in the defaults.
+_TREE4 = {"name": "tree",
+          "params": {"max_depth": 4, "min_samples_split": 2, "min_impurity_decrease": 0.0}}
 CONFIG_ECHOES = {
     "spe": [("n_estimators", 3), ("k_bins", 5), ("seed", 4), ("hardness", "squared"),
             ("base_learner", _TREE4)],

@@ -76,10 +76,6 @@ def test_resolve_hardness_identifiers():
     assert resolve_hardness("absolute") is absolute_error
     assert resolve_hardness("squared") is squared_error
     assert resolve_hardness("cross-entropy") is cross_entropy
-    # Underscore spellings are accepted aliases.
-    assert resolve_hardness("absolute_error") is absolute_error
-    assert resolve_hardness("squared_error") is squared_error
-    assert resolve_hardness("cross_entropy") is cross_entropy
 
 
 def test_resolve_hardness_callable_passthrough():
@@ -95,3 +91,10 @@ def test_resolve_hardness_unknown():
     with pytest.raises(ValueError, match="absolute | cross-entropy | squared"):
         resolve_hardness("nope")
 
+
+
+@pytest.mark.parametrize("name", ["absolute_error", "squared_error", "cross_entropy"])
+def test_resolve_hardness_refuses_function_names(name):
+    # A setting has one spelling: the HARDNESS_FUNCTIONS key, or a callable.
+    with pytest.raises(ValueError, match=f"unknown hardness function '{name}'"):
+        resolve_hardness(name)

@@ -1,6 +1,10 @@
 """Base learners: the weighted decision tree, AdaBoost, and the registry."""
+import copy
+import json
 import math
+import pickle
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -483,6 +487,52 @@ def test_learner_registry_and_spec():
 def test_learner_spec_checks_its_parameters_when_made(name, params, message):
     with pytest.raises(ValueError, match=message):
         LearnerSpec(name, params)
+
+
+def test_learner_spec_fills_every_parameter_in_signature_order():
+    assert list(LearnerSpec("tree").params.items()) == [
+        ("max_depth", 10), ("min_samples_split", 2), ("min_impurity_decrease", 0.0)]
+    booster = LearnerSpec("adaboost", {"learning_rate": 0.5, "n_estimators": 7})
+    assert list(booster.params.items()) == [
+        ("n_estimators", 7), ("weak_learner_depth", 1), ("learning_rate", 0.5)]
+    assert LearnerSpec("tree") == LearnerSpec("tree", {"max_depth": 10})
+
+
+@pytest.mark.parametrize("write", [
+    lambda params: params.__setitem__("max_depth", 0),
+    lambda params: params.__delitem__("max_depth"),
+    lambda params: params.update(max_depth=0),
+    lambda params: params.setdefault("nope", 1),
+    lambda params: params.pop("max_depth"),
+    lambda params: params.popitem(),
+    lambda params: params.clear(),
+    lambda params: params.__ior__({"max_depth": 0}),
+])
+def test_learner_spec_params_are_read_only(write):
+    spec = LearnerSpec("tree", {"max_depth": 3})
+    with pytest.raises(TypeError, match="read-only"):
+        write(spec.params)
+    assert spec.params == {"max_depth": 3, "min_samples_split": 2, "min_impurity_decrease": 0.0}
+
+
+def test_learner_spec_keeps_its_own_copy_of_the_params():
+    given = {"max_depth": 3}
+    spec = LearnerSpec("tree", given)
+    given["max_depth"] = 0
+    assert spec.params["max_depth"] == 3
+    assert spec.create().max_depth == 3
+
+
+def test_learner_spec_pickles_copies_and_encodes():
+    spec = LearnerSpec("adaboost", {"n_estimators": 3})
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert twin == spec
+        with pytest.raises(TypeError, match="read-only"):
+            twin.params["n_estimators"] = 0
+    assert json.loads(json.dumps(asdict(spec))) == {
+        "name": "adaboost",
+        "params": {"n_estimators": 3, "weak_learner_depth": 1, "learning_rate": 1.0},
+    }
 
 
 def test_learner_doc_dispatch_errors():
