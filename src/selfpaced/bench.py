@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RandomSource, _whole, derive_seed
+from .core import RandomSource, _real, _whole, derive_seed
 from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
 from .ensembles import METHODS, SpeConfig, fit_method
 from .learners import LearnerSpec
@@ -67,7 +67,7 @@ class BenchConfig(SpeConfig):
             if method in self.methods[:i]:
                 raise ValueError(f"method {method!r} is listed twice")
         _whole(self, "repeats", 1)
-        CheckerboardSpec(cov_scale=self.cov, n_minority=_whole(self, "n_minority"),
+        CheckerboardSpec(cov_scale=_real(self, "cov"), n_minority=_whole(self, "n_minority"),
                          n_majority=_whole(self, "n_majority"))
         # results.json records the learner by name and parameters.
         if not isinstance(self.base_learner, LearnerSpec):

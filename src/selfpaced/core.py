@@ -22,9 +22,8 @@ __all__ = [
 _MAX_SEED = 2**64 - 1
 
 
-def _whole(config, name, least=None):
-    """Store field `name` of a frozen config as an int, refusing 2.5, "3" or True."""
-    value = getattr(config, name)
+def _integer(value, name, least=None):
+    """`value` as an int, refusing 2.5, "3" or True; below `least` it raises too."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -33,8 +32,29 @@ def _whole(config, name, least=None):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and number < least:
         raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
+def _whole(config, name, least=None):
+    """Store field `name` of a frozen config as an int, checked by `_integer`."""
+    number = _integer(getattr(config, name), name, least)
     object.__setattr__(config, name, number)
     return number
+
+
+def _real(config, name):
+    """Store field `name` of a frozen config as a float, refusing a string."""
+    value = getattr(config, name)
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    object.__setattr__(config, name, float(value))
+    return float(value)
+
+
+def _check_unit_interval(values, noun):
+    """Refuse a float64 array holding NaN or a value outside [0, 1]; `noun` names it."""
+    if np.isnan(values).any() or ((values < 0.0) | (values > 1.0)).any():
+        raise ValueError(f"{noun} must lie in [0, 1]")
 
 
 def _non_finite_cell(features):
@@ -192,7 +212,7 @@ class RandomSource:
     __slots__ = ("seed", "_path", "_gen")
 
     def __init__(self, seed: int, _path: tuple = ()):
-        seed = int(seed)
+        seed = _integer(seed, "seed")
         if not 0 <= seed <= _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
@@ -201,9 +221,7 @@ class RandomSource:
 
     def child(self, label: str, index: int = 0) -> "RandomSource":
         """Independent stream derived from this one, keyed by (label, index)."""
-        index = int(index)
-        if index < 0:
-            raise ValueError(f"child index must be nonnegative, got {index}")
+        index = _integer(index, "index", 0)
         return RandomSource(self.seed, self._path + ((str(label), index),))
 
     @property
@@ -278,15 +296,18 @@ def _member_scores(member, X, ranks=None):
 
     Built-in learners score it through `_score_rows` without a second check,
     and their trees may read `ranks`, a `_ColumnRanks` of X; other learners
-    go through their public `predict_proba`.
+    go through their public `predict_proba`, and their scores are checked
+    here: one per row, each in [0, 1].
     """
     score_rows = getattr(member, "_score_rows", None)
-    scores = member.predict_proba(X) if score_rows is None else score_rows(X, ranks)
-    scores = np.asarray(scores, dtype=np.float64)
+    if score_rows is not None:
+        return score_rows(X, ranks)
+    scores = np.asarray(member.predict_proba(X), dtype=np.float64)
     if scores.shape != (X.shape[0],):
         raise ValueError(
             f"member returned scores of shape {scores.shape}, expected ({X.shape[0]},)"
         )
+    _check_unit_interval(scores, "member scores")
     return scores
 
 
@@ -341,7 +362,7 @@ def partial_ensemble(model_or_members, upto: int) -> MeanScorer:
     members = getattr(model_or_members, "members", None)
     if members is None:
         members = tuple(model_or_members)
-    upto = int(upto)
+    upto = _integer(upto, "upto")
     if not 1 <= upto <= len(members):
         raise ValueError(f"upto must be in [1, {len(members)}], got {upto}")
     return MeanScorer(members[:upto])

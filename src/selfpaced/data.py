@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RandomSource, _non_finite_cell, _whole
+from .core import Dataset, RandomSource, _integer, _non_finite_cell, _real, _whole
 
 __all__ = [
     "CheckerboardSpec",
@@ -43,7 +43,7 @@ class CheckerboardSpec:
     grid_size: int = 4
 
     def __post_init__(self):
-        if not self.cov_scale > 0:
+        if not _real(self, "cov_scale") > 0:
             raise ValueError(f"cov_scale must be positive, got {self.cov_scale}")
         if _whole(self, "n_minority") < 1 or _whole(self, "n_majority") < 1:
             raise ValueError("both class counts must be positive")
@@ -116,7 +116,7 @@ def _resolve_label_column(header, label_column):
                 f"label column {label_column!r} not found; header: {header}"
             )
         return header.index(label_column)
-    position = int(label_column)
+    position = _integer(label_column, "label_column")
     try:
         header[position]
     except IndexError:

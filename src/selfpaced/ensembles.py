@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_scores, _whole
+from .core import Dataset, EnsembleModel, RandomSource, _ColumnRanks, _member_scores, _real, _whole
 from .hardness import resolve_hardness
 from .learners import LearnerSpec, learner_from_doc, learner_to_doc
 from .sampling import (
@@ -96,7 +96,7 @@ class SpeConfig:
         _whole(self, "n_estimators", 1)
         _whole(self, "k_bins", 1)
         RandomSource(_whole(self, "seed"))
-        if self.keep_fp_rate is not None and not 0.0 < float(self.keep_fp_rate) <= 1.0:
+        if self.keep_fp_rate is not None and not 0.0 < _real(self, "keep_fp_rate") <= 1.0:
             raise ValueError(f"keep_fp_rate must lie in (0, 1], got {self.keep_fp_rate}")
         if isinstance(self.base_learner, str):
             object.__setattr__(self, "base_learner", LearnerSpec(self.base_learner))
@@ -229,7 +229,7 @@ def cascade_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         if keep_fp_rate > 1.0:
             raise ValueError(f"the derived keep_fp_rate must be <= 1, got {keep_fp_rate}")
     else:
-        keep_fp_rate = float(config.keep_fp_rate)
+        keep_fp_rate = config.keep_fp_rate
 
     minority = data.minority_indices
     # The live pool: majority row ids in ascending order, with the sum of

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _check_unit_interval
+
 __all__ = [
     "absolute_error",
     "squared_error",
@@ -21,9 +23,8 @@ CROSS_ENTROPY_EPS = 1e-12
 
 def _checked(p, y):
     p = np.asarray(p, dtype=np.float64)
+    _check_unit_interval(p, "probabilities")
     y = np.asarray(y)
-    if np.isnan(p).any() or ((p < 0.0) | (p > 1.0)).any():
-        raise ValueError("probabilities must lie in [0, 1]")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     return p, y.astype(np.float64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _ColumnRanks, _check_features, _check_predict_input
+from .core import _ColumnRanks, _check_features, _check_predict_input, _integer
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -58,8 +58,10 @@ def _doc_field(doc, key, what, convert=None):
     try:
         value = doc[key]
         return value if convert is None else convert(value)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed {what} document: missing or invalid {key!r}") from err
+    except KeyError as err:
+        raise ValueError(f"malformed {what} document: missing {key!r}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"malformed {what} document: invalid {key!r}: {err}") from err
 
 
 def _check_training_inputs(X, y, sample_weight):
@@ -179,12 +181,8 @@ class DecisionTreeClassifier:
 
     def __init__(self, max_depth=10, min_samples_split=2, min_impurity_decrease=0.0):
         if max_depth is not None:
-            max_depth = int(max_depth)
-            if max_depth < 1:
-                raise ValueError(f"max_depth must be >= 1 or None, got {max_depth}")
-        min_samples_split = int(min_samples_split)
-        if min_samples_split < 1:
-            raise ValueError(f"min_samples_split must be >= 1, got {min_samples_split}")
+            max_depth = _integer(max_depth, "max_depth", 1)
+        min_samples_split = _integer(min_samples_split, "min_samples_split", 1)
         min_impurity_decrease = float(min_impurity_decrease)
         if min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be nonnegative")
@@ -459,8 +457,8 @@ class DecisionTreeClassifier:
         if _doc_field(doc, "kind", "tree") != "tree":
             raise ValueError(f"expected a tree document, got kind={doc.get('kind')!r}")
         model = _doc_field(doc, "params", "tree", lambda params: cls(**params))
-        model.n_features_in_ = _doc_field(doc, "n_features", "tree", int)
-        n_features = model.n_features_in_
+        n_features = _doc_field(doc, "n_features", "tree", lambda n: _integer(n, "n_features"))
+        model.n_features_in_ = n_features
         feature, threshold, children, probability, count = [], [], [], [], []
         # The node documents in breadth-first order: node i is queue[i], and
         # a split node appends its children as it is read.
@@ -474,9 +472,9 @@ class DecisionTreeClassifier:
                     threshold.append(0.0)
                     children.append(-1)
                     probability.append(float(node_doc["probability"]))
-                    count.append(int(node_doc["count"]))
+                    count.append(_integer(node_doc["count"], "count"))
                     continue
-                f = int(node_doc["feature"])
+                f = _integer(node_doc["feature"], "feature")
                 if not 0 <= f < n_features:
                     raise ValueError(f"feature {f} outside [0, {n_features})")
                 feature.append(f)
@@ -531,12 +529,8 @@ class AdaBoostClassifier:
     """
 
     def __init__(self, n_estimators=10, weak_learner_depth=1, learning_rate=1.0):
-        n_estimators = int(n_estimators)
-        if n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
-        weak_learner_depth = int(weak_learner_depth)
-        if weak_learner_depth < 1:
-            raise ValueError(f"weak_learner_depth must be >= 1, got {weak_learner_depth}")
+        n_estimators = _integer(n_estimators, "n_estimators", 1)
+        weak_learner_depth = _integer(weak_learner_depth, "weak_learner_depth", 1)
         learning_rate = float(learning_rate)
         if not learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
@@ -607,7 +601,13 @@ class AdaBoostClassifier:
         return margin
 
     def _score_rows(self, X, ranks=None):
-        return 1.0 / (1.0 + np.exp(-2.0 * self._margin_rows(X, ranks)))
+        # The margin takes at most 2**stages distinct values. Each goes
+        # through `math.exp`, whose bits do not depend on the SIMD code numpy
+        # dispatches to, as `np.exp`'s do.
+        margin = self._margin_rows(X, ranks)
+        distinct = np.unique(margin)
+        table = np.array([1.0 / (1.0 + math.exp(-2.0 * m)) for m in distinct.tolist()])
+        return table[np.searchsorted(distinct, margin)]
 
     def to_json_doc(self):
         if self.stages_ is None:
@@ -633,7 +633,8 @@ class AdaBoostClassifier:
                 f"expected an adaboost document, got kind={doc.get('kind')!r}"
             )
         model = _doc_field(doc, "params", "adaboost", lambda params: cls(**params))
-        model.n_features_in_ = _doc_field(doc, "n_features", "adaboost", int)
+        model.n_features_in_ = _doc_field(doc, "n_features", "adaboost",
+                                          lambda n: _integer(n, "n_features"))
         model.stages_ = [
             (
                 _doc_field(stage, "weight", "adaboost stage", float),
@@ -670,9 +671,11 @@ class LearnerSpec:
     """Named base-learner recipe resolvable through LEARNER_REGISTRY.
 
     A spec holds every constructor parameter of its learner, in signature
-    order: those not given take the constructor's default. The params are a
-    read-only copy, checked when the spec is made by building one learner:
-    an unknown parameter, or a value the learner refuses, raises ValueError.
+    order, as the learner it builds holds it: those not given take the
+    constructor's default, and `learning_rate=1` is held as 1.0. The params
+    are a read-only copy, checked when the spec is made by building one
+    learner: an unknown parameter, or a value the learner refuses, raises
+    ValueError.
     """
 
     name: str
@@ -687,9 +690,9 @@ class LearnerSpec:
             if key not in accepted:
                 raise ValueError(f"base learner {self.name!r} has no parameter {key!r}; "
                                  f"valid: {' | '.join(accepted)}")
-        filled = {key: self.params.get(key, p.default) for key, p in accepted.items()}
+        learner = LEARNER_REGISTRY[self.name](**self.params)
+        filled = {key: getattr(learner, key) for key in accepted}
         object.__setattr__(self, "params", _FrozenParams(filled))
-        self.create()
 
     def create(self):
         return LEARNER_REGISTRY[self.name](**self.params)

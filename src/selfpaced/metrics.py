@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _check_unit_interval
 from .sampling import largest_remainder_shares
 
 __all__ = [
@@ -54,8 +54,7 @@ def _checked_scored(labels, scores):
         raise ValueError("cannot score an empty prediction set")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if np.isnan(scores).any() or ((scores < 0) | (scores > 1)).any():
-        raise ValueError("scores must lie in [0, 1]")
+    _check_unit_interval(scores, "scores")
     return labels.astype(np.int64), scores
 
 

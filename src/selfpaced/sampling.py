@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _integer
+
 __all__ = [
     "BinPartition",
     "partition_bins",
@@ -68,9 +70,7 @@ def partition_bins(values, k, indices=None) -> BinPartition:
         raise ValueError("hardness values must be a nonempty 1-D sequence")
     if not np.isfinite(values).all():
         raise ValueError("hardness values must be finite")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _integer(k, "k", 1)
     if indices is None:
         indices = np.arange(values.size, dtype=np.int64)
     else:
@@ -114,10 +114,8 @@ def self_paced_alpha(i, n) -> float:
     pi/2, so alpha stays finite: at i=n it is tan((n-1)/n * pi/2), about
     2n/pi (6.31 at n=10).
     """
-    i = int(i)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    i = _integer(i, "i")
+    n = _integer(n, "n", 1)
     if not 1 <= i <= n:
         raise ValueError(f"iteration must lie in [1, {n}], got {i}")
     if i == 1:
@@ -159,9 +157,7 @@ def largest_remainder_shares(weights, total) -> np.ndarray:
         raise ValueError("weights must be a nonempty 1-D sequence")
     if (weights < 0).any() or not np.isfinite(weights).all():
         raise ValueError("weights must be nonnegative finite reals")
-    total = int(total)
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
+    total = _integer(total, "total", 0)
     wsum = weights.sum()
     if wsum <= 0:
         raise ValueError("weights must not all be zero")
@@ -219,9 +215,7 @@ def self_paced_undersample(partition, weights, target, rng) -> np.ndarray:
         raise ValueError(f"expected {partition.k} weights, got shape {weights.shape}")
     if (weights < 0).any():
         raise ValueError("weights must be nonnegative")
-    target = int(target)
-    if target < 1:
-        raise ValueError(f"target must be a positive integer, got {target}")
+    target = _integer(target, "target", 1)
 
     quotas, unmet = _capped_quotas(weights, partition.counts, target)
     gen = rng.generator
@@ -256,9 +250,7 @@ def draw_undersample(pool, target, rng) -> np.ndarray:
     pool = np.asarray(pool, dtype=np.int64)
     if pool.size == 0:
         raise ValueError("cannot draw from an empty pool")
-    target = int(target)
-    if target < 1:
-        raise ValueError(f"target must be a positive integer, got {target}")
+    target = _integer(target, "target", 1)
     gen = rng.generator
     if pool.size >= target:
         return pool[gen.choice(pool.size, size=target, replace=False)]

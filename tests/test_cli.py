@@ -415,7 +415,7 @@ TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",
     (["--n-estimators", "0"], "n_estimators must be >= 1, got 0"),
     (["--keep-fp-rate", "2"], "keep_fp_rate must lie in (0, 1], got 2.0"),
     # A bad learner setting or method list is refused as early.
-    (["--max-depth", "0"], "max_depth must be >= 1 or None, got 0"),
+    (["--max-depth", "0"], "max_depth must be >= 1, got 0"),
     (["--base-learner", "adaboost", "--weak-depth", "0"],
      "weak_learner_depth must be >= 1, got 0"),
     (["--methods", ""], "methods must name at least one method"),
@@ -655,6 +655,19 @@ def test_library_and_cli_bench_write_the_same_bytes(tmp_path, capsys):
                      "--n-estimators", "2", "--seed", "6", "--output", str(tmp_path / "cli")])
     for name in ("results.csv", "results.json"):
         assert (tmp_path / "library" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+def test_library_and_cli_bench_record_whole_real_settings_alike(tmp_path, capsys):
+    # A config holds cov and keep_fp_rate as the floats the CLI parses them to.
+    config = BenchConfig(cov=1, keep_fp_rate=1, methods=("cascade",), repeats=1,
+                         n_minority=15, n_majority=90, n_estimators=2, seed=6)
+    write_results(run_suite(config), tmp_path / "library", config)
+    run_cli(capsys, ["bench", "--cov", "1", "--keep-fp-rate", "1", "--methods", "cascade",
+                     "--repeats", "1", "--n-minority", "15", "--n-majority", "90",
+                     "--n-estimators", "2", "--seed", "6", "--output", str(tmp_path / "cli")])
+    library = (tmp_path / "library" / "results.json").read_bytes()
+    assert library == (tmp_path / "cli" / "results.json").read_bytes()
+    assert b'"cov": 1.0' in library and b'"keep_fp_rate": 1.0' in library
 
 
 def test_library_spe_echoes_the_config_of_a_default_cli_train(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_child_streams_do_not_depend_on_creation_order():
 def test_child_path_tracking_and_validation():
     rng = RandomSource(1).child("fit", 2).child("bag")
     assert rng.path == (("fit", 2), ("bag", 0))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^index must be >= 0, got -1$"):
         RandomSource(1).child("fit", -1)
     with pytest.raises(ValueError, match="64-bit"):
         RandomSource(-5)
@@ -198,6 +198,13 @@ def test_mean_scorer_rejects_misshapen_member_output():
 
     scorer = MeanScorer([Wide()])
     with pytest.raises(ValueError, match="shape"):
+        scorer.predict_proba(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("score", [1.5, -0.25, np.nan])
+def test_mean_scorer_refuses_member_scores_outside_the_unit_interval(score):
+    scorer = MeanScorer([ConstantLearner(0.5), ConstantLearner(score)])
+    with pytest.raises(ValueError, match=r"^member scores must lie in \[0, 1\]$"):
         scorer.predict_proba(np.zeros((3, 2)))
 
 

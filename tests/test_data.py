@@ -32,6 +32,7 @@ def test_spec_validation():
     ({"grid_size": 2.5}, r"^grid_size must be an integer, got 2.5$"),
     ({"seed": -1}, r"^seed must be a 64-bit unsigned integer, got -1$"),
     ({"n_minority": -3}, r"^both class counts must be positive$"),
+    ({"cov_scale": "0.1"}, r"^cov_scale must be a number, got '0.1'$"),
 ])
 def test_spec_refuses_bad_values_when_made(settings, message):
     with pytest.raises(ValueError, match=message):

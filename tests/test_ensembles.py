@@ -227,6 +227,7 @@ def test_config_echo_per_method(method):
     ({"seed": 1.5}, r"^seed must be an integer, got 1.5$"),
     ({"seed": -1}, r"^seed must be a 64-bit unsigned integer, got -1$"),
     ({"seed": 2**64}, r"^seed must be a 64-bit unsigned integer, got 18446744073709551616$"),
+    ({"keep_fp_rate": "0.5"}, r"^keep_fp_rate must be a number, got '0.5'$"),
 ])
 def test_spe_config_checks_its_fields_when_made(settings, message):
     with pytest.raises(ValueError, match=message):
@@ -528,6 +529,28 @@ def test_external_factory_learner():
     scores = model.predict_proba(BOARD.features[:10])
     assert scores.shape == (10,)
     assert np.all((scores >= 0) & (scores <= 1))
+
+
+class BadScoreLearner:
+    """A factory learner that fits and then scores every row `score`."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def fit(self, X, y, sample_weight=None):
+        self.n_features_in_ = np.asarray(X).shape[1]
+        return self
+
+    def predict_proba(self, X):
+        return np.full(np.asarray(X).shape[0], self.score)
+
+
+@pytest.mark.parametrize("score", [1.5, np.nan])
+def test_cascade_refuses_factory_scores_outside_the_unit_interval_while_fitting(score):
+    # The cascade prunes its pool by these scores, so it must not fit on them.
+    config = SpeConfig(n_estimators=3, base_learner=lambda: BadScoreLearner(score))
+    with pytest.raises(ValueError, match=r"^member scores must lie in \[0, 1\]$"):
+        cascade_fit(BOARD, config)
 
 
 def test_model_doc_round_trip():

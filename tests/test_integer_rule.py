@@ -1,0 +1,92 @@
+"""Every count, depth, index and seed a caller passes is checked by one rule.
+
+A whole number is an `int` or a numpy integer. A float such as 2.5, a
+string such as "3" and a bool are refused with "<name> must be an integer",
+where truncating them would quietly use another value.
+"""
+import numpy as np
+import pytest
+
+from selfpaced.core import RandomSource, partial_ensemble
+from selfpaced.data import load_csv
+from selfpaced.learners import AdaBoostClassifier, DecisionTreeClassifier, learner_from_doc
+from selfpaced.sampling import (
+    draw_undersample,
+    largest_remainder_shares,
+    partition_bins,
+    self_paced_alpha,
+    self_paced_undersample,
+)
+
+X = np.array([[0.0], [1.0], [2.0], [3.0]])
+Y = np.array([0, 0, 1, 1])
+
+
+def tree_doc(edit, value):
+    """A fitted depth-1 tree's document with one field set to `value`."""
+    doc = DecisionTreeClassifier(max_depth=1).fit(X, Y).to_json_doc()
+    {"n_features": doc, "feature": doc["root"], "count": doc["root"]["left"]}[edit][edit] = value
+    return learner_from_doc(doc)
+
+
+def booster_doc(value):
+    doc = AdaBoostClassifier(n_estimators=1).fit(X, Y).to_json_doc()
+    doc["n_features"] = value
+    return learner_from_doc(doc)
+
+
+def label_column(value, tmp_path):
+    path = tmp_path / "board.csv"
+    path.write_text("a,b,label\n0.5,1.5,1\n2.5,3.5,0\n", encoding="utf-8")
+    return load_csv(path, label_column=value)
+
+
+def two_bins():
+    return partition_bins([0.1, 0.9], 2)
+
+
+# site -> (the name in the message, a call that passes the value, a value it takes)
+SITES = {
+    "tree max_depth": ("max_depth", lambda v, _: DecisionTreeClassifier(max_depth=v), 3),
+    "tree min_samples_split": (
+        "min_samples_split", lambda v, _: DecisionTreeClassifier(min_samples_split=v), 3),
+    "booster n_estimators": ("n_estimators", lambda v, _: AdaBoostClassifier(n_estimators=v), 3),
+    "booster weak_learner_depth": (
+        "weak_learner_depth", lambda v, _: AdaBoostClassifier(weak_learner_depth=v), 3),
+    "tree document feature": ("feature", lambda v, _: tree_doc("feature", v), 0),
+    "tree document count": ("count", lambda v, _: tree_doc("count", v), 2),
+    "tree document n_features": ("n_features", lambda v, _: tree_doc("n_features", v), 1),
+    "booster document n_features": ("n_features", lambda v, _: booster_doc(v), 1),
+    "partition_bins k": ("k", lambda v, _: partition_bins([0.1, 0.9], v), 3),
+    "self_paced_alpha i": ("i", lambda v, _: self_paced_alpha(v, 10), 3),
+    "self_paced_alpha n": ("n", lambda v, _: self_paced_alpha(1, v), 3),
+    "largest_remainder_shares total": (
+        "total", lambda v, _: largest_remainder_shares([1.0, 1.0], v), 3),
+    "self_paced_undersample target": (
+        "target", lambda v, _: self_paced_undersample(two_bins(), [0.5, 0.5], v,
+                                                      RandomSource(0)), 2),
+    "draw_undersample target": (
+        "target", lambda v, _: draw_undersample([4, 5, 6], v, RandomSource(0)), 3),
+    "RandomSource seed": ("seed", lambda v, _: RandomSource(v), 3),
+    "child index": ("index", lambda v, _: RandomSource(0).child("a", v), 3),
+    "partial_ensemble upto": (
+        "upto", lambda v, _: partial_ensemble([DecisionTreeClassifier().fit(X, Y)] * 3, v), 3),
+    "load_csv label_column": ("label_column", label_column, 2),
+}
+
+
+@pytest.mark.parametrize("site, bad", [
+    (site, bad) for site in SITES for bad in (2.5, "3", True)
+    # A string label column is a header name, not a bad index.
+    if not (site == "load_csv label_column" and bad == "3")
+])
+def test_every_count_depth_index_and_seed_refuses_a_non_integer(site, bad, tmp_path):
+    name, call, _ = SITES[site]
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer, got {bad!r}"):
+        call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_count_depth_index_and_seed_takes_a_numpy_integer(site, tmp_path):
+    _, call, good = SITES[site]
+    call(np.int64(good), tmp_path)

@@ -2,10 +2,14 @@
 import copy
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from selfpaced.learners import (
     learner_to_doc,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 XS = np.array([[1.0], [2.0], [3.0], [4.0]])
 
 
@@ -445,10 +450,46 @@ def test_a_lone_booster_scores_a_large_batch_through_shared_ranks():
     for stage_weight, weak in booster.stages_:
         margin += stage_weight * np.where(weak._score_rows(X) >= 0.5, 1.0, -1.0)
     margin /= sum(stage_weight for stage_weight, _ in booster.stages_)
-    expected = 1.0 / (1.0 + np.exp(-2.0 * margin))
+    expected = np.array([1.0 / (1.0 + math.exp(-2.0 * m)) for m in margin.tolist()])
     assert all(weak._table is None for _, weak in booster.stages_)
     assert booster.predict_proba(X).tobytes() == expected.tobytes()
     assert all(weak._table[4] is not None for _, weak in booster.stages_)
+
+
+# Scores a booster on a 300-vs-6000 board, batch and row by row, and prints
+# the digests of both.
+_BOOSTER_PROBE = """
+import hashlib
+import numpy as np
+from selfpaced.data import CheckerboardSpec, generate_checkerboard
+from selfpaced.learners import AdaBoostClassifier
+board = generate_checkerboard(CheckerboardSpec(n_minority=300, n_majority=6000, seed=5))
+booster = AdaBoostClassifier(n_estimators=10, weak_learner_depth=4)
+booster.fit(board.features, board.labels)
+batch = booster.predict_proba(board.features)
+rows = np.array([booster.predict_proba(x) for x in board.features[:1000]])
+print(hashlib.sha256(batch.tobytes()).hexdigest(), hashlib.sha256(rows.tobytes()).hexdigest())
+"""
+
+
+def test_booster_scores_do_not_depend_on_numpy_simd_dispatch():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy finds no AVX-512 (X86_V4) on this host, so turning it off "
+                    "would change no dispatch and the check would compare a run with itself")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    digests = []
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR"):
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run([sys.executable, "-c", _BOOSTER_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_adaboost_param_and_input_validation():
@@ -481,7 +522,7 @@ def test_learner_registry_and_spec():
 @pytest.mark.parametrize("name, params, message", [
     ("tree", {"nope": 1}, r"base learner 'tree' has no parameter 'nope'"),
     ("adaboost", {"max_depth": 2}, r"base learner 'adaboost' has no parameter 'max_depth'"),
-    ("tree", {"max_depth": 0}, r"^max_depth must be >= 1 or None, got 0$"),
+    ("tree", {"max_depth": 0}, r"^max_depth must be >= 1, got 0$"),
     ("adaboost", {"learning_rate": -1.0}, r"^learning_rate must be positive, got -1.0$"),
 ])
 def test_learner_spec_checks_its_parameters_when_made(name, params, message):
@@ -513,6 +554,13 @@ def test_learner_spec_params_are_read_only(write):
     with pytest.raises(TypeError, match="read-only"):
         write(spec.params)
     assert spec.params == {"max_depth": 3, "min_samples_split": 2, "min_impurity_decrease": 0.0}
+
+
+def test_learner_spec_holds_each_parameter_as_its_learner_does():
+    rate = LearnerSpec("adaboost", {"learning_rate": 1}).params["learning_rate"]
+    assert type(rate) is float and rate == 1.0
+    depth = LearnerSpec("tree", {"max_depth": np.int64(4)}).params["max_depth"]
+    assert type(depth) is int and depth == 4
 
 
 def test_learner_spec_keeps_its_own_copy_of_the_params():

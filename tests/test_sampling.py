@@ -70,7 +70,7 @@ def test_partition_input_validation():
         partition_bins(np.array([]), 2)
     with pytest.raises(ValueError, match="finite"):
         partition_bins(np.array([0.1, np.inf]), 2)
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         partition_bins(np.array([0.1]), 0)
     with pytest.raises(ValueError, match="align"):
         partition_bins(np.array([0.1, 0.2]), 2, indices=np.array([1]))
@@ -156,7 +156,7 @@ def test_alpha_strictly_increasing():
 
 
 def test_alpha_argument_validation():
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
         self_paced_alpha(1, 0)
     with pytest.raises(ValueError, match=r"\[1, 10\]"):
         self_paced_alpha(0, 10)
@@ -253,7 +253,7 @@ def test_largest_remainder_validation():
         largest_remainder_shares(np.array([-0.1, 1.0]), 3)
     with pytest.raises(ValueError, match="not all be zero"):
         largest_remainder_shares(np.array([0.0, 0.0]), 3)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^total must be >= 0, got -1$"):
         largest_remainder_shares(np.array([1.0]), -1)
 
 
@@ -302,7 +302,7 @@ def test_undersample_validation():
         self_paced_undersample(part, np.array([1.0]), 1, RandomSource(0))
     with pytest.raises(ValueError, match="nonnegative"):
         self_paced_undersample(part, np.array([-1.0, 1.0]), 1, RandomSource(0))
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match=r"^target must be >= 1, got 0$"):
         self_paced_undersample(part, np.array([0.5, 0.5]), 0, RandomSource(0))
 
 
@@ -347,7 +347,7 @@ def test_draw_undersample_small_pool_warns():
 def test_draw_undersample_validation():
     with pytest.raises(ValueError, match="empty pool"):
         draw_undersample(np.array([], dtype=np.int64), 1, RandomSource(0))
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match=r"^target must be >= 1, got 0$"):
         draw_undersample(np.array([1]), 0, RandomSource(0))
 
 
