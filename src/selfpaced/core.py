@@ -42,13 +42,30 @@ def _whole(config, name, least=None):
     return number
 
 
-def _real(config, name):
-    """Store field `name` of a frozen config as a float, refusing a string."""
-    value = getattr(config, name)
-    if isinstance(value, str):
+def _number(value, name):
+    """`value` as a float, refusing "0.5" where `float()` would parse it."""
+    if isinstance(value, (str, bytes)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    object.__setattr__(config, name, float(value))
     return float(value)
+
+
+def _real(config, name):
+    """Store field `name` of a frozen config as a float, checked by `_number`."""
+    number = _number(getattr(config, name), name)
+    object.__setattr__(config, name, number)
+    return number
+
+
+def _row_ids(rows, name):
+    """`rows` as int64 row ids: any integer dtype, never bool, float or object.
+
+    Casting 1.5 or True to int64 would pick row 1 without a word. An empty
+    sequence passes, whatever its dtype.
+    """
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer row ids, got dtype {rows.dtype}")
+    return rows.astype(np.int64, copy=False)
 
 
 def _check_unit_interval(values, noun):
@@ -182,7 +199,7 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         """New dataset holding the given rows (duplicates allowed)."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = _row_ids(rows, "rows")
         return Dataset(self._features[rows], self._labels[rows], self._feature_names)
 
     def __len__(self) -> int:

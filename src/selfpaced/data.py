@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, RandomSource, _integer, _non_finite_cell, _real, _whole
+from .core import Dataset, RandomSource, _integer, _non_finite_cell, _number, _real, _whole
 
 __all__ = [
     "CheckerboardSpec",
@@ -91,7 +91,7 @@ def corrupt_missing(data: Dataset, missing_ratio: float, rng: RandomSource) -> D
     Exactly floor(missing_ratio * n_cells) distinct cells are set to 0.0;
     labels are untouched. missing_ratio must lie in [0, 1).
     """
-    missing_ratio = float(missing_ratio)
+    missing_ratio = _number(missing_ratio, "missing_ratio")
     if not 0.0 <= missing_ratio < 1.0:
         raise ValueError(f"missing_ratio must lie in [0, 1), got {missing_ratio}")
     n_cells = data.n_samples * data.n_features

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _ColumnRanks, _check_features, _check_predict_input, _integer
+from .core import _ColumnRanks, _check_features, _check_predict_input, _integer, _number
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -183,7 +183,7 @@ class DecisionTreeClassifier:
         if max_depth is not None:
             max_depth = _integer(max_depth, "max_depth", 1)
         min_samples_split = _integer(min_samples_split, "min_samples_split", 1)
-        min_impurity_decrease = float(min_impurity_decrease)
+        min_impurity_decrease = _number(min_impurity_decrease, "min_impurity_decrease")
         if min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be nonnegative")
         self.max_depth = max_depth
@@ -531,7 +531,7 @@ class AdaBoostClassifier:
     def __init__(self, n_estimators=10, weak_learner_depth=1, learning_rate=1.0):
         n_estimators = _integer(n_estimators, "n_estimators", 1)
         weak_learner_depth = _integer(weak_learner_depth, "weak_learner_depth", 1)
-        learning_rate = float(learning_rate)
+        learning_rate = _number(learning_rate, "learning_rate")
         if not learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.n_estimators = n_estimators

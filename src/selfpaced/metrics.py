@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_unit_interval
+from .core import Dataset, _check_unit_interval, _number
 from .sampling import largest_remainder_shares
 
 __all__ = [
@@ -61,7 +61,7 @@ def _checked_scored(labels, scores):
 def confusion(labels, scores, threshold=0.5) -> ConfusionMatrix:
     """Confusion counts at a threshold (score >= threshold is positive)."""
     labels, scores = _checked_scored(labels, scores)
-    threshold = float(threshold)
+    threshold = _number(threshold, "threshold")
     predicted = scores >= threshold
     actual = labels == 1
     return ConfusionMatrix(
@@ -147,7 +147,7 @@ def stratified_split(data: Dataset, fractions=(0.6, 0.2, 0.2), rng=None):
     """
     if rng is None:
         raise ValueError("stratified_split requires a RandomSource")
-    fractions = tuple(float(f) for f in fractions)
+    fractions = tuple(_number(f, "fractions") for f in fractions)
     if len(fractions) != 3:
         raise ValueError(f"expected three fractions, got {len(fractions)}")
     if any(f <= 0 for f in fractions):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _integer
+from .core import _integer, _number, _row_ids
 
 __all__ = [
     "BinPartition",
@@ -74,29 +74,27 @@ def partition_bins(values, k, indices=None) -> BinPartition:
     if indices is None:
         indices = np.arange(values.size, dtype=np.int64)
     else:
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _row_ids(indices, "indices")
         if indices.shape != values.shape:
             raise ValueError("indices and values must align")
 
     lo = float(values.min())
     hi = float(values.max())
     edges = np.linspace(lo, hi, k + 1)
+    if lo == hi:
+        bins = np.zeros(values.size, dtype=np.intp)
+    else:
+        bins = _edge_checked_bins(values, edges, lo, hi)
+
     # The narrowest unsigned type that holds every bin number lets the stable
     # sort below run as numpy's linear-time radix sort.
     bin_dtype = np.min_scalar_type(k - 1)
-    if lo == hi:
-        assignment = np.zeros(values.size, dtype=bin_dtype)
-    else:
-        # side="right" makes each interior edge belong to the bin above it;
-        # the maximum lands in the last bin because it never exceeds edges[-1].
-        assignment = np.searchsorted(edges[1:-1], values, side="right").astype(bin_dtype)
-
     # One stable sort groups the bins and keeps input order inside each, so a
     # bin's slice holds the same values in the same order as a mask would.
-    order = np.argsort(assignment, kind="stable")
+    order = np.argsort(bins.astype(bin_dtype), kind="stable")
     sorted_indices = indices[order]
     sorted_values = values[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(assignment, minlength=k))))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=k))))
     member_indices = []
     mean_hardness = np.full(k, np.nan)
     for b in range(k):
@@ -105,6 +103,40 @@ def partition_bins(values, k, indices=None) -> BinPartition:
         if stop > start:
             mean_hardness[b] = sorted_values[start:stop].mean()
     return BinPartition(edges, tuple(member_indices), mean_hardness)
+
+
+def _edge_checked_bins(values, edges, lo, hi):
+    """Each value's bin, `searchsorted(edges[1:-1], v, side="right")` bit for bit.
+
+    An arithmetic guess lands within a bin or so of the answer; then each
+    guess steps towards the one bin b with lower[b] <= v < upper[b], which is
+    unique because the edges never decrease. The first pass checks every
+    value, later passes only those whose guess moved. A span where hi - lo or
+    k / (hi - lo) overflows starts every guess at bin 0 and takes up to k - 1
+    passes over the values still moving.
+    """
+    k = edges.size - 1
+    span = hi - lo
+    scale = k / span
+    if math.isfinite(span) and math.isfinite(scale):
+        guess = np.subtract(values, lo)
+        guess *= scale
+        bins = np.minimum(guess, k - 1, out=guess).astype(np.intp)
+    else:
+        bins = np.zeros(values.size, dtype=np.intp)
+    # Like searchsorted over the interior edges, the checks never read
+    # edges[0] or edges[-1] (edges[0] is NaN when hi - lo overflows).
+    lower = np.concatenate(([-np.inf], edges[1:-1]))
+    upper = np.concatenate((edges[1:-1], [np.inf]))
+    rows, v, guessed = None, values, bins
+    while True:
+        step = (v >= upper[guessed]).view(np.int8) - (v < lower[guessed]).view(np.int8)
+        moved = np.flatnonzero(step)
+        if moved.size == 0:
+            return bins
+        rows = moved if rows is None else rows[moved]
+        bins[rows] += step[moved]
+        v, guessed = values[rows], bins[rows]
 
 
 def self_paced_alpha(i, n) -> float:
@@ -130,7 +162,7 @@ def bin_sampling_weights(partition: BinPartition, alpha) -> np.ndarray:
     WEIGHT_EPS, such as both exactly zero, gets the dominating (but finite)
     unnormalized weight 1 / WEIGHT_EPS; a tinier positive sum would overflow.
     """
-    alpha = float(alpha)
+    alpha = _number(alpha, "alpha")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be a nonnegative finite real, got {alpha}")
     counts = partition.counts
@@ -247,7 +279,7 @@ def draw_undersample(pool, target, rng) -> np.ndarray:
     Falls back to drawing with replacement (with a ResamplingWarning) when
     the pool is smaller than the target.
     """
-    pool = np.asarray(pool, dtype=np.int64)
+    pool = _row_ids(pool, "pool")
     if pool.size == 0:
         raise ValueError("cannot draw from an empty pool")
     target = _integer(target, "target", 1)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from spe_reference import reference_spe
 
+from selfpaced import ensembles
 from selfpaced.core import Dataset, EnsembleModel
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
 from selfpaced.ensembles import (
@@ -144,6 +145,22 @@ def test_spe_scores_the_majority_once_per_member(n_estimators, monkeypatch):
     assert len(set(map(id, majority_calls))) == n_estimators
     assert model.members[-1] not in majority_calls
     assert BOARD.n_majority not in scans
+
+
+@pytest.mark.parametrize("n_estimators", [1, 3])
+def test_spe_bins_through_the_module_level_partition_bins(n_estimators, monkeypatch):
+    # The benchmark's traced runs time binning by wrapping this very name,
+    # `ensembles.partition_bins`, so spe_fit must look it up there each time.
+    calls = []
+    partition_bins = ensembles.partition_bins
+
+    def counting_partition_bins(values, k, indices=None):
+        calls.append((len(values), k))
+        return partition_bins(values, k, indices=indices)
+
+    monkeypatch.setattr(ensembles, "partition_bins", counting_partition_bins)
+    spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=shallow_tree(), k_bins=6))
+    assert calls == [(BOARD.n_majority, 6)] * n_estimators
 
 
 @pytest.mark.parametrize("n_estimators", [2, 3, 5])

@@ -1,16 +1,20 @@
-"""Every count, depth, index and seed a caller passes is checked by one rule.
+"""Every number a caller passes is checked by one rule for its kind.
 
 A whole number is an `int` or a numpy integer. A float such as 2.5, a
 string such as "3" and a bool are refused with "<name> must be an integer",
-where truncating them would quietly use another value.
+where truncating them would quietly use another value. Arrays of row ids
+follow the same rule by dtype, and a real-valued setting refuses a string
+such as "0.5" that `float()` would parse.
 """
 import numpy as np
 import pytest
 
-from selfpaced.core import RandomSource, partial_ensemble
-from selfpaced.data import load_csv
+from selfpaced.core import Dataset, RandomSource, partial_ensemble
+from selfpaced.data import corrupt_missing, load_csv
 from selfpaced.learners import AdaBoostClassifier, DecisionTreeClassifier, learner_from_doc
+from selfpaced.metrics import confusion, stratified_split
 from selfpaced.sampling import (
+    bin_sampling_weights,
     draw_undersample,
     largest_remainder_shares,
     partition_bins,
@@ -90,3 +94,75 @@ def test_every_count_depth_index_and_seed_refuses_a_non_integer(site, bad, tmp_p
 def test_every_count_depth_index_and_seed_takes_a_numpy_integer(site, tmp_path):
     _, call, good = SITES[site]
     call(np.int64(good), tmp_path)
+
+
+DATA = Dataset(X, Y)
+
+# site -> (the name in the message, a call that passes row ids)
+ROW_ID_SITES = {
+    "Dataset.subset": ("rows", lambda rows: DATA.subset(rows)),
+    "partition_bins indices": (
+        "indices", lambda rows: partition_bins(np.linspace(0.1, 0.9, len(rows)), 2,
+                                               indices=rows)),
+    "draw_undersample pool": ("pool", lambda rows: draw_undersample(rows, 2, RandomSource(0))),
+}
+
+
+@pytest.mark.parametrize("site, rows", [
+    (site, rows) for site in ROW_ID_SITES for rows in (
+        [1.5, 2.0, 3.0],
+        np.array([0.5, 2.7, 3.2]),
+        np.array([False, True, True]),
+        np.array([1, 2, 3], dtype=object),
+        ["1", "2", "3"],
+    )
+])
+def test_every_array_of_row_ids_refuses_a_non_integer_dtype(site, rows):
+    name, call = ROW_ID_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be integer row ids, got dtype "):
+        call(rows)
+
+
+@pytest.mark.parametrize("site", ROW_ID_SITES)
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.int64])
+def test_every_array_of_row_ids_takes_any_integer_dtype(site, dtype):
+    _, call = ROW_ID_SITES[site]
+    assert call(np.array([1, 2, 3], dtype=dtype)) is not None
+
+
+def test_row_ids_of_any_integer_dtype_pick_the_same_rows():
+    for dtype in (np.uint8, np.int16, np.int64):
+        rows = np.array([3, 0, 3], dtype=dtype)
+        assert DATA.subset(rows).features.tolist() == [[3.0], [0.0], [3.0]]
+        part = partition_bins([0.1, 0.9, 0.5], 2, indices=rows)
+        assert [m.dtype for m in part.member_indices] == [np.int64, np.int64]
+        assert [m.tolist() for m in part.member_indices] == [[3], [0, 3]]
+    assert DATA.subset([]).n_samples == 0
+
+
+def split_fractions(value):
+    data = Dataset(np.arange(12.0)[:, None], [0] * 6 + [1] * 6)
+    return stratified_split(data, (value, 0.3, 0.2), RandomSource(0))
+
+
+# site -> (the name in the message, a call that passes the value, a value it takes)
+REAL_SITES = {
+    "tree min_impurity_decrease": (
+        "min_impurity_decrease", lambda v: DecisionTreeClassifier(min_impurity_decrease=v), 0.1),
+    "booster learning_rate": (
+        "learning_rate", lambda v: AdaBoostClassifier(learning_rate=v), 0.5),
+    "confusion threshold": ("threshold", lambda v: confusion(Y, [0.2, 0.4, 0.6, 0.8],
+                                                             threshold=v), 0.5),
+    "bin_sampling_weights alpha": ("alpha", lambda v: bin_sampling_weights(two_bins(), v), 0.5),
+    "corrupt_missing missing_ratio": (
+        "missing_ratio", lambda v: corrupt_missing(DATA, v, RandomSource(0)), 0.5),
+    "stratified_split fractions": ("fractions", split_fractions, 0.5),
+}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_valued_setting_refuses_a_string(site):
+    name, call, good = REAL_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got '{good}'$"):
+        call(str(good))
+    call(np.float32(good))

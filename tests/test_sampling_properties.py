@@ -1,6 +1,6 @@
 """Property tests for the sampler: quotas, bins, draws and balanced bags."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -50,6 +50,69 @@ def test_partition_bins_cover_every_index_once(values, k):
     assert part.k == k
     assert sorted(np.concatenate(part.member_indices).tolist()) == indices.tolist()
     assert part.total == values.size
+
+
+TINY = 5e-324
+# (lo, hi) ranges where the arithmetic guess is exact, off by a bin, or
+# unusable: unit ranges, subnormal ranges (k / (hi - lo) overflows), ranges
+# whose hi - lo overflows, and ranges narrower than k ulps.
+SPANS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20)).map(
+        lambda ends: (ends[0] * TINY, ends[1] * TINY)),
+    st.tuples(st.floats(-1.7e308, -1e307), st.floats(1e307, 1.7e308)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda u: (1e6 + 1e-9 * u[0], 1e6 + 1e-9 * u[1])),
+)
+# Up to 256 bins number in 8 bits, up to 65,536 in 16 and more in 32; the
+# explicit examples below take 65,537 bins, since each costs a loop over k.
+BIN_COUNTS = st.one_of(st.integers(1, 300), st.sampled_from([256, 257]))
+PICKS = st.tuples(st.integers(0, 2**16), st.sampled_from([-1, 0, 1]), st.floats(0.0, 1.0))
+
+
+def on_and_near_edges(lo, hi, k, picks):
+    """lo, hi and, per pick, an edge or its neighbour and a point between them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, k + 1)
+    values = [lo, hi]
+    for edge, side, u in picks:
+        edge = edges[edge % (k + 1)]
+        values += [edge if side == 0 else np.nextafter(edge, side * np.inf),
+                   lo * (1.0 - u) + hi * u]
+    # Neighbours of lo and hi fall outside; edges[0] is NaN when hi - lo overflows.
+    values = np.clip(np.array(values), lo, hi)
+    return values[~np.isnan(values)], k
+
+
+@st.composite
+def values_on_and_near_edges(draw):
+    lo, hi = sorted(draw(SPANS))
+    assume(lo < hi)
+    values, k = on_and_near_edges(lo, hi, draw(BIN_COUNTS),
+                                  draw(st.lists(PICKS, min_size=1, max_size=40)))
+    return draw(st.permutations(values)), k
+
+
+WIDE_PICKS = [(edge, side, edge / 65537) for edge in (0, 1, 40000, 65535, 65536, 65537)
+              for side in (-1, 0, 1)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@example(case=on_and_near_edges(0.0, 1.0, 65537, WIDE_PICKS))
+@example(case=on_and_near_edges(-3 * TINY, 2**19 * TINY, 65537, WIDE_PICKS))
+@example(case=on_and_near_edges(-1.7e308, 1.6e308, 65537, WIDE_PICKS))
+@example(case=on_and_near_edges(1e6, 1e6 + 1e-9, 65537, WIDE_PICKS))
+@given(case=values_on_and_near_edges())
+def test_partition_bins_match_searchsorted_over_the_interior_edges(case):
+    values, k = case
+    values = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = partition_bins(values, k)
+        edges = np.linspace(values.min(), values.max(), k + 1)
+    assert part.edges.tobytes() == edges.tobytes()
+    bins = np.empty(values.size, dtype=np.int64)
+    bins[np.concatenate(part.member_indices)] = np.repeat(np.arange(k), part.counts)
+    assert bins.tolist() == np.searchsorted(edges[1:-1], values, side="right").tolist()
 
 
 @st.composite
