@@ -57,14 +57,17 @@ def _real(config, name):
 
 
 def _row_ids(rows, name):
-    """`rows` as int64 row ids: any integer dtype, never bool, float or object.
+    """`rows` as int64 row ids: any integer dtype, never bool, float, string or object.
 
-    Casting 1.5 or True to int64 would pick row 1 without a word. An empty
+    Casting 1.5 or True to int64 would pick row 1 without a word, and a
+    uint64 id past the int64 range would wrap to a negative one. An empty
     sequence passes, whatever its dtype.
     """
     rows = np.asarray(rows)
     if rows.size and rows.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integer row ids, got dtype {rows.dtype}")
+    if rows.dtype == np.uint64 and rows.size and rows.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be integer row ids, got {rows.max()}")
     return rows.astype(np.int64, copy=False)
 
 

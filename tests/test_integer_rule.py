@@ -100,7 +100,7 @@ DATA = Dataset(X, Y)
 
 # site -> (the name in the message, a call that passes row ids)
 ROW_ID_SITES = {
-    "Dataset.subset": ("rows", lambda rows: DATA.subset(rows)),
+    "Dataset.subset": ("rows", DATA.subset),
     "partition_bins indices": (
         "indices", lambda rows: partition_bins(np.linspace(0.1, 0.9, len(rows)), 2,
                                                indices=rows)),
@@ -123,21 +123,26 @@ def test_every_array_of_row_ids_refuses_a_non_integer_dtype(site, rows):
         call(rows)
 
 
-@pytest.mark.parametrize("site", ROW_ID_SITES)
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64, np.int64])
-def test_every_array_of_row_ids_takes_any_integer_dtype(site, dtype):
-    _, call = ROW_ID_SITES[site]
-    assert call(np.array([1, 2, 3], dtype=dtype)) is not None
+def test_row_ids_of_any_integer_dtype_pick_the_same_rows(dtype):
+    rows = np.array([3, 0, 3], dtype=dtype)
+    assert DATA.subset(rows).features.tolist() == [[3.0], [0.0], [3.0]]
+    part = partition_bins([0.1, 0.9, 0.5], 2, indices=rows)
+    assert [m.dtype for m in part.member_indices] == [np.int64, np.int64]
+    assert [m.tolist() for m in part.member_indices] == [[3], [0, 3]]
+    drawn = draw_undersample(rows, 3, RandomSource(0))
+    assert drawn.dtype == np.int64 and sorted(drawn.tolist()) == [0, 3, 3]
 
 
-def test_row_ids_of_any_integer_dtype_pick_the_same_rows():
-    for dtype in (np.uint8, np.int16, np.int64):
-        rows = np.array([3, 0, 3], dtype=dtype)
-        assert DATA.subset(rows).features.tolist() == [[3.0], [0.0], [3.0]]
-        part = partition_bins([0.1, 0.9, 0.5], 2, indices=rows)
-        assert [m.dtype for m in part.member_indices] == [np.int64, np.int64]
-        assert [m.tolist() for m in part.member_indices] == [[3], [0, 3]]
+def test_an_empty_list_of_row_ids_passes():
     assert DATA.subset([]).n_samples == 0
+
+
+@pytest.mark.parametrize("site", ROW_ID_SITES)
+def test_a_uint64_row_id_past_the_int64_range_is_refused(site):
+    name, call = ROW_ID_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be integer row ids, got {2**64 - 1}$"):
+        call(np.array([0, 1, 2**64 - 1], dtype=np.uint64))
 
 
 def split_fractions(value):
