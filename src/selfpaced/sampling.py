@@ -108,7 +108,7 @@ def partition_bins(values, k, indices=None) -> BinPartition:
 def _edge_checked_bins(values, edges, lo, hi):
     """Each value's bin, `searchsorted(edges[1:-1], v, side="right")` bit for bit.
 
-    An arithmetic guess lands within a bin or so of the answer; then each
+    Needs lo < hi. An arithmetic guess lands within a bin or so of the answer; then each
     guess steps towards the one bin b with lower[b] <= v < upper[b], which is
     unique because the edges never decrease. The first pass checks every
     value, later passes only those whose guess moved. A span where hi - lo or
