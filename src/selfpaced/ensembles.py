@@ -175,12 +175,13 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
     for i in range(1, n + 1):
         mean_scores = score_sum / i
         hardness = hardness_fn(mean_scores, 0)
-        partition = partition_bins(hardness, k, indices=majority)
+        partition = partition_bins(hardness, k)
         alpha = self_paced_alpha(i, n)
         weights = bin_sampling_weights(partition, alpha)
-        chosen = self_paced_undersample(
+        # The bins hold positions in `majority`; only the drawn ones become row ids.
+        chosen = majority[self_paced_undersample(
             partition, weights, target, rng.child("undersample", i)
-        )
+        )]
         member = _fit_member(factory, data, chosen, minority)
         members.append(member)
         if i < n:
@@ -274,17 +275,14 @@ def _plain_fit(data, config, log=None):
 
 
 # method -> (trainer, config fields the method fixes, keys echoed into the
-# model document's config, in order). fit_method looks the trainer up among
-# the module globals at each call, so a wrapper set on a global (as
-# perfbench/spans.py sets them) sees every call.
+# model document's config, in order).
 _METHOD_TABLE = {
-    "spe": ("spe_fit", {},
-            ("n_estimators", "k_bins", "seed", "hardness", "base_learner")),
-    "easy": ("easy_fit", {}, ("n_estimators", "seed", "base_learner")),
-    "cascade": ("cascade_fit", {}, ("n_estimators", "keep_fp_rate", "seed", "base_learner")),
-    "rand-under": ("easy_fit", {"n_estimators": 1}, ("seed", "base_learner")),
-    "rand-over": ("_rand_over_fit", {}, ("seed", "base_learner")),
-    "none": ("_plain_fit", {}, ("seed", "base_learner")),
+    "spe": (spe_fit, {}, ("n_estimators", "k_bins", "seed", "hardness", "base_learner")),
+    "easy": (easy_fit, {}, ("n_estimators", "seed", "base_learner")),
+    "cascade": (cascade_fit, {}, ("n_estimators", "keep_fp_rate", "seed", "base_learner")),
+    "rand-under": (easy_fit, {"n_estimators": 1}, ("seed", "base_learner")),
+    "rand-over": (_rand_over_fit, {}, ("seed", "base_learner")),
+    "none": (_plain_fit, {}, ("seed", "base_learner")),
 }
 METHODS = tuple(_METHOD_TABLE)
 
@@ -299,7 +297,7 @@ def fit_method(data: Dataset, method: str, log=None, **fields) -> EnsembleModel:
         raise ValueError(f"unknown method {method!r}; valid: {' | '.join(METHODS)}")
     trainer, fixed, _ = _METHOD_TABLE[method]
     config = replace(SpeConfig(**fields), **fixed)
-    model = globals()[trainer](data, config, log=log)
+    model = trainer(data, config, log=log)
     if model.method != method:
         model = _model(method, model.members, config, **model.config)
     return model

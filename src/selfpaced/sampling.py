@@ -36,7 +36,8 @@ class BinPartition:
     """Equal-width partition of hardness values.
 
     edges: k+1 bin boundaries over the observed hardness range.
-    member_indices: per bin, the row indices whose hardness landed there.
+    member_indices: per bin, the positions in the binned values of those
+        that landed there, in input order.
     mean_hardness: per bin mean hardness, NaN where a bin is empty.
     """
 
@@ -57,13 +58,13 @@ class BinPartition:
         return int(self.counts.sum())
 
 
-def partition_bins(values, k, indices=None) -> BinPartition:
+def partition_bins(values, k) -> BinPartition:
     """Cut values into k equal-width bins over their observed range.
 
     Bins are left-closed and right-open, except the last which is closed on
     both sides. If every value is identical the first bin takes everything.
-    `indices` labels each value with a dataset row index (positions when
-    omitted); bins keep input order.
+    Each bin holds the positions of its values in input order; a caller with
+    row ids maps only the positions it draws.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -71,12 +72,6 @@ def partition_bins(values, k, indices=None) -> BinPartition:
     if not np.isfinite(values).all():
         raise ValueError("hardness values must be finite")
     k = _integer(k, "k", 1)
-    if indices is None:
-        indices = np.arange(values.size, dtype=np.int64)
-    else:
-        indices = _row_ids(indices, "indices")
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must align")
 
     lo = float(values.min())
     hi = float(values.max())
@@ -92,14 +87,13 @@ def partition_bins(values, k, indices=None) -> BinPartition:
     # One stable sort groups the bins and keeps input order inside each, so a
     # bin's slice holds the same values in the same order as a mask would.
     order = np.argsort(bins.astype(bin_dtype), kind="stable")
-    sorted_indices = indices[order]
     sorted_values = values[order]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(bins, minlength=k))))
     member_indices = []
     mean_hardness = np.full(k, np.nan)
     for b in range(k):
         start, stop = bounds[b], bounds[b + 1]
-        member_indices.append(sorted_indices[start:stop])
+        member_indices.append(order[start:stop])
         if stop > start:
             mean_hardness[b] = sorted_values[start:stop].mean()
     return BinPartition(edges, tuple(member_indices), mean_hardness)
@@ -111,16 +105,17 @@ def _edge_checked_bins(values, edges, lo, hi):
     Needs lo < hi. An arithmetic guess lands within a bin or so of the answer; then each
     guess steps towards the one bin b with lower[b] <= v < upper[b], which is
     unique because the edges never decrease. The first pass checks every
-    value, later passes only those whose guess moved. A span where hi - lo or
-    k / (hi - lo) overflows starts every guess at bin 0 and takes up to k - 1
-    passes over the values still moving.
+    value, later passes only those whose guess moved. The guess divides by
+    the span before it multiplies by k, so it stays in [0, k] even when k /
+    (hi - lo) would overflow. A span where hi - lo overflows starts every
+    guess at bin 0 and takes up to k - 1 passes over the values still moving.
     """
     k = edges.size - 1
     span = hi - lo
-    scale = k / span
-    if math.isfinite(span) and math.isfinite(scale):
+    if math.isfinite(span):
         guess = np.subtract(values, lo)
-        guess *= scale
+        guess /= span
+        guess *= k
         bins = np.minimum(guess, k - 1, out=guess).astype(np.intp)
     else:
         bins = np.zeros(values.size, dtype=np.intp)
@@ -165,16 +160,11 @@ def bin_sampling_weights(partition: BinPartition, alpha) -> np.ndarray:
     alpha = _number(alpha, "alpha")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be a nonnegative finite real, got {alpha}")
-    counts = partition.counts
-    if not (counts > 0).any():
+    filled = partition.counts > 0
+    if not filled.any():
         raise ValueError("partition has no nonempty bins")
-    raw = np.zeros(partition.k, dtype=np.float64)
-    for b in range(partition.k):
-        if counts[b] == 0:
-            continue
-        h = partition.mean_hardness[b]
-        denom = h + alpha
-        raw[b] = 1.0 / max(denom, WEIGHT_EPS)
+    # An empty bin's mean is NaN, and so is its reciprocal, until the mask drops it.
+    raw = np.where(filled, 1.0 / np.maximum(partition.mean_hardness + alpha, WEIGHT_EPS), 0.0)
     return raw / raw.sum()
 
 
@@ -226,8 +216,6 @@ def _capped_quotas(weights, capacities, target):
             w = np.ones(w.size)
         alloc = largest_remainder_shares(w, remaining)
         alloc = np.minimum(alloc, room[active])
-        if alloc.sum() == 0:
-            break
         quotas[active] += alloc
         remaining -= int(alloc.sum())
     return quotas, remaining

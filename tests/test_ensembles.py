@@ -154,9 +154,9 @@ def test_spe_bins_through_the_module_level_partition_bins(n_estimators, monkeypa
     calls = []
     partition_bins = ensembles.partition_bins
 
-    def counting_partition_bins(values, k, indices=None):
+    def counting_partition_bins(values, k):
         calls.append((len(values), k))
-        return partition_bins(values, k, indices=indices)
+        return partition_bins(values, k)
 
     monkeypatch.setattr(ensembles, "partition_bins", counting_partition_bins)
     spe_fit(BOARD, SpeConfig(n_estimators=n_estimators, base_learner=shallow_tree(), k_bins=6))

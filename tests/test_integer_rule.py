@@ -101,9 +101,6 @@ DATA = Dataset(X, Y)
 # site -> (the name in the message, a call that passes row ids)
 ROW_ID_SITES = {
     "Dataset.subset": ("rows", DATA.subset),
-    "partition_bins indices": (
-        "indices", lambda rows: partition_bins(np.linspace(0.1, 0.9, len(rows)), 2,
-                                               indices=rows)),
     "draw_undersample pool": ("pool", lambda rows: draw_undersample(rows, 2, RandomSource(0))),
 }
 
@@ -127,9 +124,6 @@ def test_every_array_of_row_ids_refuses_a_non_integer_dtype(site, rows):
 def test_row_ids_of_any_integer_dtype_pick_the_same_rows(dtype):
     rows = np.array([3, 0, 3], dtype=dtype)
     assert DATA.subset(rows).features.tolist() == [[3.0], [0.0], [3.0]]
-    part = partition_bins([0.1, 0.9, 0.5], 2, indices=rows)
-    assert [m.dtype for m in part.member_indices] == [np.int64, np.int64]
-    assert [m.tolist() for m in part.member_indices] == [[3], [0, 3]]
     drawn = draw_undersample(rows, 3, RandomSource(0))
     assert drawn.dtype == np.int64 and sorted(drawn.tolist()) == [0, 3, 3]
 
