@@ -127,10 +127,9 @@ def test_partition_bins_matches_mask_loop_bitwise():
 
 
 def test_a_subnormal_span_takes_few_edge_check_passes(monkeypatch):
-    # k / (hi - lo) overflows on values a few subnormals apart; the guess
-    # must still land near each bin rather than walk up from bin 0.
-    # Each pass of the edge check finds the guesses that move with one
-    # np.flatnonzero call.
+    # Values a few subnormals apart, where k / (hi - lo) overflows. Each
+    # edge-check pass makes one np.flatnonzero call, and guesses that start
+    # near their bins, not at bin 0, need few passes.
     values = np.random.default_rng(0).integers(0, 2**20, size=1000) * 5e-324
     passes = []
     flatnonzero = np.flatnonzero
