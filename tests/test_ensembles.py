@@ -163,6 +163,25 @@ def test_spe_bins_through_the_module_level_partition_bins(n_estimators, monkeypa
     assert calls == [(BOARD.n_majority, 6)] * n_estimators
 
 
+def test_spe_maps_the_drawn_positions_to_majority_row_ids(monkeypatch):
+    # Reversed, the board puts its minority rows first, so positions in the
+    # majority rows are not their row ids.
+    data = BOARD.subset(np.arange(BOARD.n_samples)[::-1])
+    drawn = []
+    fit_member = ensembles._fit_member
+
+    def recording_fit_member(factory, data, majority_rows, minority_rows):
+        drawn.append(np.asarray(majority_rows))
+        return fit_member(factory, data, majority_rows, minority_rows)
+
+    monkeypatch.setattr(ensembles, "_fit_member", recording_fit_member)
+    spe_fit(data, SpeConfig(n_estimators=4, base_learner=shallow_tree(), k_bins=6))
+    assert len(drawn) == 5
+    for rows in drawn:
+        assert rows.size == data.minority_indices.size == np.unique(rows).size
+        assert (data.labels[rows] == 0).all()
+
+
 @pytest.mark.parametrize("n_estimators", [2, 3, 5])
 def test_cascade_scores_the_majority_once_per_member(n_estimators, monkeypatch):
     # Members 0..n-2 score the rows of the live pool to shrink it; the last

@@ -6,8 +6,10 @@ import pytest
 
 from selfpaced.core import Dataset, RandomSource
 from selfpaced.sampling import (
+    WEIGHT_EPS,
     BinPartition,
     ResamplingWarning,
+    _capped_quotas,
     bin_sampling_weights,
     draw_undersample,
     largest_remainder_shares,
@@ -49,6 +51,21 @@ def test_partition_single_bin():
     part = partition_bins(np.array([0.2, 0.9, 0.4]), 1)
     assert part.counts.tolist() == [3]
     assert part.mean_hardness[0] == pytest.approx(0.5)
+
+
+def test_partition_carries_dataset_indices():
+    # Bins hold positions in the binned values; a caller with dataset row ids
+    # maps them through its ids, as spe_fit does with the majority rows.
+    ids = np.array([17, 4])
+    part = partition_bins(np.array([0.9, 0.1]), 2)
+    assert [m.dtype for m in part.member_indices] == [np.int64, np.int64]
+    assert ids[part.member_indices[0]].tolist() == [4]
+    assert ids[part.member_indices[1]].tolist() == [17]
+
+
+def test_partition_bins_takes_no_row_ids():
+    with pytest.raises(TypeError, match="indices"):
+        partition_bins(np.array([0.1, 0.9]), 2, indices=np.array([3, 5]))
 
 
 def test_partition_edges_span_observed_range():
@@ -143,6 +160,26 @@ def test_a_subnormal_span_takes_few_edge_check_passes(monkeypatch):
     assert len(passes) <= 1000
 
 
+def test_unit_range_hardness_takes_one_edge_check_pass(monkeypatch):
+    # Over spe's usual hardness range the guess already is each value's bin,
+    # so the first pass over every value moves none of them.
+    passes = []
+    flatnonzero = np.flatnonzero
+
+    def counting_flatnonzero(a):
+        passes.append(len(a))
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counting_flatnonzero)
+    gen = np.random.default_rng(5)
+    for values in (gen.random(10_000), np.concatenate(([0.0, 1.0], gen.random(5000))),
+                   gen.random(1000) ** 3):
+        for k in (2, 10, 20, 64, 1000):
+            passes.clear()
+            partition_bins(values, k)
+            assert passes == [values.size]
+
+
 def test_alpha_starts_at_exact_zero():
     assert self_paced_alpha(1, 10) == 0.0
     assert self_paced_alpha(1, 1) == 0.0
@@ -231,6 +268,25 @@ def test_weights_validation():
         bin_sampling_weights(empty, 0.0)
 
 
+def test_weights_match_a_per_bin_loop_bitwise():
+    def per_bin_loop(part, alpha):
+        raw = np.zeros(part.k)
+        for b in range(part.k):
+            if part.counts[b] > 0:
+                raw[b] = 1.0 / max(part.mean_hardness[b] + alpha, WEIGHT_EPS)
+        return raw / raw.sum()
+
+    gen = np.random.default_rng(23)
+    for _ in range(100):
+        size = int(gen.integers(1, 60))
+        # Cubed values leave upper bins empty; zeros meet WEIGHT_EPS at alpha 0.
+        values = gen.random(size) ** 3 * gen.integers(0, 2, size=size)
+        part = partition_bins(values, int(gen.integers(1, 30)))
+        for alpha in (0.0, 5e-324, 1e-13, float(gen.random()), 1e9):
+            got = bin_sampling_weights(part, alpha)
+            assert got.tobytes() == per_bin_loop(part, alpha).tobytes()
+
+
 def test_largest_remainder_exact_total():
     assert largest_remainder_shares(np.array([0.5, 0.5]), 3).tolist() == [2, 1]
     assert largest_remainder_shares(np.array([1.0, 1.0, 1.0]), 10).tolist() == [4, 3, 3]
@@ -263,6 +319,19 @@ def test_largest_remainder_validation():
         largest_remainder_shares(np.array([0.0, 0.0]), 3)
     with pytest.raises(ValueError, match=r"^total must be >= 0, got -1$"):
         largest_remainder_shares(np.array([1.0]), -1)
+
+
+def test_capped_quotas_refill_until_the_target_or_every_bin_is_full():
+    # Bin 0 caps at 1 and bin 1 at 2, so their overflow moves to bin 2 over
+    # later rounds.
+    quotas, unmet = _capped_quotas([0.7, 0.2, 0.1], [1, 2, 50], 20)
+    assert quotas.tolist() == [1, 2, 17] and unmet == 0
+    # Past the total capacity every bin fills and the rest stays unmet.
+    quotas, unmet = _capped_quotas([0.7, 0.2, 0.1], [1, 2, 5], 20)
+    assert quotas.tolist() == [1, 2, 5] and unmet == 12
+    # Zero weights on the bins with room spread the overflow evenly.
+    quotas, unmet = _capped_quotas([1.0, 0.0, 0.0], [1, 4, 4], 7)
+    assert quotas.tolist() == [1, 3, 3] and unmet == 0
 
 
 def test_undersample_exact_size_and_membership():
