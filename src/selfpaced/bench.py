@@ -5,12 +5,17 @@ Every repeat draws an independent training and test set from the same spec,
 trains each method on the training set, and scores the test set. Rows carry
 mean and standard deviation over repeats; per-repeat values live in the JSON
 mirror. All randomness derives from the suite seed, so a rerun with the same
-configuration is byte-identical.
+configuration is byte-identical. The cells of a sweep point (method x
+repeat) are independent, so they run on a forked process pool with one
+worker per CPU this process may use; the rows do not depend on the count.
 """
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -138,30 +143,86 @@ def _sweep_points(config: BenchConfig):
             ]
 
 
+def _cell(config: BenchConfig, method: str, repeat: int, train, test):
+    """One method fitted and scored on one repeat: (report, None) or (None, error)."""
+    try:
+        return _fit_and_score(config, method, train, test, repeat), None
+    except Exception as exc:
+        return None, f"repeat {repeat}: {exc}"
+
+
+# The suite config of a pool worker. It is set only in the worker, at its
+# start, and reaches it through the fork, so it is never pickled.
+_worker_config = None
+
+
+def _start_worker(config: BenchConfig):
+    global _worker_config
+    _worker_config = config
+
+
+def _worker_cell(cell):
+    return _cell(_worker_config, *cell)
+
+
+def _workers(cells: int) -> int:
+    """Pool size: one worker per CPU this process may run on, at most one per cell.
+
+    1 where there is no fork or affinity mask, in a daemonic process, which
+    may not start children, and in a process with other threads, which a
+    fork would copy in whatever state they hold.
+    """
+    if (not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
 def run_suite(config: BenchConfig):
     """Run a benchmark suite and return its aggregated rows.
 
     At every sweep point, each method is fitted and scored on each repeat's
     pair; a failed repeat is recorded in the rows' `errors` and skipped.
+    The cells run on one forked pool of `_workers` processes, which is gone
+    when this returns; with one worker they run in this process.
     """
+    workers = _workers(len(config.methods) * config.repeats)
+    pool = None
+    if workers > 1:
+        # Fork, not spawn: workers inherit the imported package, where spawn
+        # would import numpy and the package again in each.
+        pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (config,))
     rows = []
-    for param_name, param_value, pairs in _sweep_points(config):
-        metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
-        for method in config.methods:
-            values = {metric: [] for metric in metrics}
-            errors = []
-            for repeat, (train, test) in enumerate(pairs):
-                try:
-                    result = _fit_and_score(config, method, train, test, repeat)
-                except Exception as exc:
-                    errors.append(f"repeat {repeat}: {exc}")
-                    continue
-                for metric in metrics:
-                    values[metric].append(result[metric])
-            for metric, got in values.items():
-                stats = (float(np.mean(got)), float(np.std(got))) if got else (np.nan,) * 2
-                rows.append(ResultRow(method, config.base_learner.name, metric, *stats,
-                                      param_name, param_value, tuple(got), tuple(errors)))
+    try:
+        for param_name, param_value, pairs in _sweep_points(config):
+            metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
+            # Method-major, then repeat: the order the rows aggregate them in.
+            cells = [(method, repeat, train, test) for method in config.methods
+                     for repeat, (train, test) in enumerate(pairs)]
+            # Chunks of one cell: a rand-under cell is far cheaper than a spe cell.
+            outcomes = iter(pool.map(_worker_cell, cells, chunksize=1) if pool
+                            else (_cell(config, *cell) for cell in cells))
+            for method in config.methods:
+                values = {metric: [] for metric in metrics}
+                errors = []
+                for _ in pairs:
+                    result, error = next(outcomes)
+                    if error is not None:
+                        errors.append(error)
+                        continue
+                    for metric in metrics:
+                        values[metric].append(result[metric])
+                for metric, got in values.items():
+                    stats = (float(np.mean(got)), float(np.std(got))) if got else (np.nan,) * 2
+                    rows.append(ResultRow(method, config.base_learner.name, metric, *stats,
+                                          param_name, param_value, tuple(got), tuple(errors)))
+    finally:
+        if pool is not None:
+            # Every task has returned, or the suite is failing: stop the
+            # workers without waiting on their queue, and reap them.
+            pool.terminate()
+            pool.join()
     return rows
 
 

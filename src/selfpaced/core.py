@@ -73,7 +73,8 @@ def _row_ids(rows, name):
 
 def _check_unit_interval(values, noun):
     """Refuse a float64 array holding NaN or a value outside [0, 1]; `noun` names it."""
-    if np.isnan(values).any() or ((values < 0.0) | (values > 1.0)).any():
+    # min and max propagate NaN, and NaN fails both comparisons.
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError(f"{noun} must lie in [0, 1]")
 
 
@@ -131,7 +132,7 @@ class Dataset:
                 f"features have {features.shape[0]} rows "
                 f"but labels have {labels.shape[0]} entries"
             )
-        valid = np.isin(labels, (0, 1))
+        valid = (labels == 0) | (labels == 1)
         if labels.size and not valid.all():
             bad = np.unique(np.asarray(labels)[~valid])
             raise ValueError(f"labels must be 0 or 1, found {bad.tolist()}")

@@ -69,12 +69,13 @@ def partition_bins(values, k) -> BinPartition:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("hardness values must be a nonempty 1-D sequence")
-    if not np.isfinite(values).all():
+    # min and max propagate NaN and meet any infinity.
+    lo = float(values.min())
+    hi = float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("hardness values must be finite")
     k = _integer(k, "k", 1)
 
-    lo = float(values.min())
-    hi = float(values.max())
     edges = np.linspace(lo, hi, k + 1)
     if lo == hi:
         bins = np.zeros(values.size, dtype=np.intp)

@@ -6,12 +6,14 @@ random draw descends from the fixed seeds below, so a pass or fail here is
 reproducible bit for bit.
 """
 import json
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_aucprc, formula_confusion_scores, random_scored_instance
+from selfpaced import bench
 from selfpaced.bench import BenchConfig, run_suite, write_results
 from selfpaced.cli import main
 from selfpaced.core import RandomSource
@@ -275,7 +277,7 @@ def test_criterion_7_metric_oracles():
     )
 
 
-def test_criterion_8_benchmark_determinism(default_suite, tmp_path, capsys):
+def test_criterion_8_benchmark_determinism(default_suite, tmp_path, capsys, monkeypatch):
     # The library's default suite and a default CLI bench are two runs of
     # one configuration, so they write the same bytes.
     status = main(["bench", "--seed", "0", "--output", str(tmp_path)])
@@ -290,6 +292,19 @@ def test_criterion_8_benchmark_determinism(default_suite, tmp_path, capsys):
         f"results.json byte-identical: {identical['results.json']}"
     )
     assert all(identical.values()), identical
+
+    # The cells run on a pool sized from the CPUs; the bytes do not depend
+    # on its size, from the in-process path to more workers than CPUs.
+    config = default_suite[0]
+    for workers in (1, 3):
+        monkeypatch.setattr(bench, "_workers", lambda cells, workers=workers: workers)
+        out_dir = tmp_path / f"workers-{workers}"
+        write_results(run_suite(config), out_dir, config)
+        same = {name: (default_suite[3] / name).read_bytes() == (out_dir / name).read_bytes()
+                for name in names}
+        report(f"criterion 8: {workers} worker(s), byte-identical: {same}")
+        assert all(same.values()), (workers, same)
+        assert multiprocessing.active_children() == []
 
 
 def test_criterion_9_missing_value_mechanism():

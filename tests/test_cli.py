@@ -1,5 +1,6 @@
 """Command line interface: all six subcommands, config files, error paths."""
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from selfpaced import bench
 from selfpaced.bench import SUITES, BenchConfig, run_suite, write_results
 from selfpaced.cli import build_parser, main
 from selfpaced.data import CheckerboardSpec, generate_checkerboard, load_csv
@@ -387,22 +389,32 @@ def test_bench_config_checks_the_board_when_made(settings, message):
         BenchConfig(**settings)
 
 
-def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys):
+def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys,
+                                                                 monkeypatch):
     # cascade's default keep rate needs two members, so each repeat fails.
-    with pytest.raises(SystemExit) as info:
-        main(["bench", "--methods", "easy,cascade", "--n-estimators", "1",
-              "--repeats", "2", "--n-minority", "15", "--n-majority", "90",
-              "--output", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert info.value.code == 1
-    assert json.loads(captured.out)["rows_with_errors"] == 4
-    error = json.loads(captured.err)["error"]
-    assert error.startswith("method cascade failed in repeat 0: ")
-    assert "keep_fp_rate" in error
-    rows = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()
-    assert rows[5] == "cascade,tree,aucprc,nan,nan"
-    doc = json.loads((tmp_path / "results.json").read_text(encoding="utf-8"))
-    assert [len(row["errors"]) for row in doc["rows"]] == [0] * 4 + [2] * 4
+    # The pool's workers and the in-process path report the same failures.
+    outputs = []
+    for workers in (None, 1):
+        if workers is not None:
+            monkeypatch.setattr(bench, "_workers", lambda cells: workers)
+        output = tmp_path / f"workers-{workers}"
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--methods", "easy,cascade", "--n-estimators", "1",
+                  "--repeats", "2", "--n-minority", "15", "--n-majority", "90",
+                  "--output", str(output)])
+        captured = capsys.readouterr()
+        assert info.value.code == 1
+        assert json.loads(captured.out)["rows_with_errors"] == 4
+        error = json.loads(captured.err)["error"]
+        assert error.startswith("method cascade failed in repeat 0: ")
+        assert "keep_fp_rate" in error
+        rows = (output / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[5] == "cascade,tree,aucprc,nan,nan"
+        doc = json.loads((output / "results.json").read_text(encoding="utf-8"))
+        assert [len(row["errors"]) for row in doc["rows"]] == [0] * 4 + [2] * 4
+        assert multiprocessing.active_children() == []
+        outputs.append((captured.err, doc["rows"]))
+    assert outputs[0] == outputs[1]
 
 
 TINY_BENCH = ["bench", "--methods", "rand-under,spe", "--repeats", "2",

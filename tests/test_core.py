@@ -7,6 +7,7 @@ from selfpaced.core import (
     EnsembleModel,
     MeanScorer,
     RandomSource,
+    _check_unit_interval,
     derive_seed,
     partial_ensemble,
 )
@@ -79,6 +80,53 @@ def test_dataset_rejects_bad_labels():
     with pytest.raises(ValueError, match="feature names"):
         Dataset(np.zeros((2, 3)), np.array([0, 1]), feature_names=("a",))
 
+
+@pytest.mark.parametrize("labels", [
+    np.array([True, False]),
+    np.array([0.0, 1.0, -0.0]),
+    np.array([0, 1, True, 1.0], dtype=object),
+    np.array([0, 1], dtype=np.uint64),
+    np.array([], dtype=np.float64),
+])
+def test_dataset_takes_zero_and_one_of_any_dtype(labels):
+    data = Dataset(np.zeros((labels.size, 1)), labels)
+    assert data.labels.dtype == np.int64
+    assert data.labels.tolist() == [int(v) for v in labels]
+
+
+@pytest.mark.parametrize("labels, found", [
+    (np.array(["0", "1"]), "['0', '1']"),
+    (np.array([0.0, 0.5, np.nan]), "[0.5, nan]"),
+    (np.array([1.0, np.inf, -np.inf]), "[-inf, inf]"),
+    (np.array([0, 2**64 - 1], dtype=np.uint64), "[18446744073709551615]"),
+    (np.array([0, 2, 1, -1], dtype=object), "[-1, 2]"),
+])
+def test_dataset_names_the_labels_it_refuses(labels, found):
+    with pytest.raises(ValueError, match="labels must be 0 or 1, found ") as info:
+        Dataset(np.zeros((labels.size, 1)), labels)
+    assert found in str(info.value)
+
+
+def _elementwise_unit_interval(values):
+    """The rule checked one value at a time: no NaN, nothing below 0 or above 1."""
+    return all(0.0 <= v <= 1.0 for v in np.ravel(values).tolist())
+
+
+UNIT_INTERVAL_CASES = [
+    np.array([]), np.array(0.5), np.array(np.nan), np.array(-0.0), np.array([-0.0, 1.0]),
+    np.array([0.0, 5e-324]), np.array([-5e-324, 0.5]), np.array([np.nextafter(1.0, 2.0)]),
+    np.array([np.inf]), np.array([0.5, -np.inf]), np.array([np.nan, 2.0]),
+    np.array([-1.0, np.nan]), np.array([np.inf, np.nan, -np.inf]),
+] + [np.where(np.arange(5) == at, np.nan, 0.25) for at in range(5)]
+
+
+@pytest.mark.parametrize("values", UNIT_INTERVAL_CASES)
+def test_unit_interval_check_follows_the_elementwise_rule(values):
+    if _elementwise_unit_interval(values):
+        _check_unit_interval(values, "scores")
+    else:
+        with pytest.raises(ValueError, match=r"^scores must lie in \[0, 1\]$"):
+            _check_unit_interval(values, "scores")
 
 def test_dataset_rejects_non_finite_features():
     for bad in (np.nan, np.inf, -np.inf):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from cascade_reference import reference_cascade, reference_mean
+from helpers import NearestMeanLearner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from spe_reference import reference_spe
@@ -565,6 +566,32 @@ def test_external_factory_learner():
     scores = model.predict_proba(BOARD.features[:10])
     assert scores.shape == (10,)
     assert np.all((scores >= 0) & (scores <= 1))
+
+
+class KeptScoresLearner(NearestMeanLearner):
+    """Returns the one score array it keeps, as a caching learner may."""
+
+    def predict_proba(self, X):
+        if not hasattr(self, "kept_"):
+            self.kept_ = super().predict_proba(X)
+        return self.kept_
+
+
+def test_spe_adds_member_scores_without_writing_to_a_members_array():
+    # spe sums member scores in place; the first sum must be its own copy.
+    made = []
+
+    def factory():
+        made.append(KeptScoresLearner())
+        return made[-1]
+
+    spe_fit(BOARD, SpeConfig(n_estimators=4, base_learner=factory, seed=3))
+    majority_X = BOARD.features[BOARD.majority_indices]
+    scored = [learner for learner in made if hasattr(learner, "kept_")]
+    assert len(scored) == 4  # the bootstrap learner and members 1..3
+    for learner in scored:
+        fresh = NearestMeanLearner.predict_proba(learner, majority_X)
+        assert learner.kept_.tobytes() == fresh.tobytes()
 
 
 class BadScoreLearner:

@@ -72,6 +72,17 @@ def test_hardness_input_validation():
             fn(0.5, 2)
 
 
+def test_absolute_error_leaves_its_inputs_and_matches_the_plain_expression():
+    gen = np.random.default_rng(4)
+    p = np.concatenate([gen.random(1000), [0.0, -0.0, 1.0, 5e-324]])
+    y = np.concatenate([gen.integers(0, 2, 1000), [0, 1, 1, 0]])
+    p_before, y_before = p.copy(), y.copy()
+    out = absolute_error(p, y)
+    assert out.tobytes() == np.abs(p - y.astype(np.float64)).tobytes()
+    assert not np.shares_memory(out, p)
+    assert p.tobytes() == p_before.tobytes() and y.tobytes() == y_before.tobytes()
+    assert absolute_error(-0.0, 1) == 1.0 and type(absolute_error(0.25, 0)) is float
+
 def test_resolve_hardness_identifiers():
     assert resolve_hardness("absolute") is absolute_error
     assert resolve_hardness("squared") is squared_error

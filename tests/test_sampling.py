@@ -85,6 +85,19 @@ def test_partition_input_validation():
         partition_bins(np.array([0.1]), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_partition_bins_refuses_nan_and_either_infinity_before_k(bad, at):
+    values = np.where(np.arange(5) == at, bad, 0.5)
+    for k in (3, 0):
+        with pytest.raises(ValueError, match=r"^hardness values must be finite$"):
+            partition_bins(values, k)
+
+
+def test_partition_bins_puts_signed_zeros_in_one_bin():
+    part = partition_bins(np.array([0.0, -0.0, 0.0]), 4)
+    assert part.counts.tolist() == [3, 0, 0, 0]
+
 def test_partition_bins_cover_everything_fuzz():
     gen = np.random.default_rng(21)
     for _ in range(50):
