@@ -128,6 +128,7 @@ def test_unit_interval_check_follows_the_elementwise_rule(values):
         with pytest.raises(ValueError, match=r"^scores must lie in \[0, 1\]$"):
             _check_unit_interval(values, "scores")
 
+
 def test_dataset_rejects_non_finite_features():
     for bad in (np.nan, np.inf, -np.inf):
         features = np.zeros((3, 2))

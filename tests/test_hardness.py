@@ -83,6 +83,7 @@ def test_absolute_error_leaves_its_inputs_and_matches_the_plain_expression():
     assert p.tobytes() == p_before.tobytes() and y.tobytes() == y_before.tobytes()
     assert absolute_error(-0.0, 1) == 1.0 and type(absolute_error(0.25, 0)) is float
 
+
 def test_resolve_hardness_identifiers():
     assert resolve_hardness("absolute") is absolute_error
     assert resolve_hardness("squared") is squared_error

@@ -98,6 +98,7 @@ def test_partition_bins_puts_signed_zeros_in_one_bin():
     part = partition_bins(np.array([0.0, -0.0, 0.0]), 4)
     assert part.counts.tolist() == [3, 0, 0, 0]
 
+
 def test_partition_bins_cover_everything_fuzz():
     gen = np.random.default_rng(21)
     for _ in range(50):
