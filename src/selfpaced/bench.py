@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .data import CheckerboardSpec, corrupt_missing, generate_checkerboard
 from .ensembles import METHODS, SpeConfig, fit_method
 from .learners import LearnerSpec
 # `aucprc` stays a name of this module: perfbench/spans.py wraps it here.
-from .metrics import aucprc, metric_report  # noqa: F401
+from .metrics import aucprc, metric_report
 
 __all__ = [
     "BenchConfig",
@@ -151,32 +152,54 @@ def _cell(config: BenchConfig, method: str, repeat: int, train, test):
         return None, f"repeat {repeat}: {exc}"
 
 
-# The suite config of a pool worker. It is set only in the worker, at its
-# start, and reaches it through the fork, so it is never pickled.
-_worker_config = None
+# The suite config and the point's (train, test) pairs in a pool worker. They
+# are set only in the worker, at its start, and reach it through the fork, so
+# they are never pickled: a task is just (method, repeat).
+_worker_point = None
 
 
-def _start_worker(config: BenchConfig):
-    global _worker_config
-    _worker_config = config
+def _start_worker(config: BenchConfig, pairs):
+    global _worker_point
+    _worker_point = config, pairs
 
 
-def _worker_cell(cell):
-    return _cell(_worker_config, *cell)
+def _worker_cell(task):
+    config, pairs = _worker_point
+    method, repeat = task
+    return _cell(config, method, repeat, *pairs[repeat])
 
 
 def _workers(cells: int) -> int:
     """Pool size: one worker per CPU this process may run on, at most one per cell.
 
     1 where there is no fork or affinity mask, in a daemonic process, which
-    may not start children, and in a process with other threads, which a
-    fork would copy in whatever state they hold.
+    may not start children, in a process with other threads, which a fork
+    would copy in whatever state they hold, and where this module's
+    `fit_method` or `aucprc` is wrapped, as by a span tracer, which would not
+    see the calls made in workers.
     """
     if (not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+            or threading.active_count() > 1
+            or hasattr(fit_method, "__wrapped__") or hasattr(aucprc, "__wrapped__")):
         return 1
     return min(len(os.sched_getaffinity(0)), cells)
+
+
+def _outcomes(config: BenchConfig, pairs):
+    """Every cell's (report, error) at one point: method-major, then repeat."""
+    tasks = [(method, repeat) for method in config.methods for repeat in range(len(pairs))]
+    workers = _workers(len(tasks))
+    if workers == 1:
+        return [_cell(config, method, repeat, *pairs[repeat]) for method, repeat in tasks]
+    # Fork, not spawn: workers inherit the imported package and the point's
+    # boards, where spawn would import numpy and the package again in each.
+    # A worker that dies raises BrokenProcessPool here, and leaving the
+    # block joins every worker.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(config, pairs)) as pool:
+        # One task per cell: a rand-under cell is far cheaper than a spe cell.
+        return list(pool.map(_worker_cell, tasks))
 
 
 def run_suite(config: BenchConfig):
@@ -184,45 +207,28 @@ def run_suite(config: BenchConfig):
 
     At every sweep point, each method is fitted and scored on each repeat's
     pair; a failed repeat is recorded in the rows' `errors` and skipped.
-    The cells run on one forked pool of `_workers` processes, which is gone
-    when this returns; with one worker they run in this process.
+    Each point's cells run on a forked pool of `_workers` processes, started
+    once the point's boards are built and gone before the next point; with
+    one worker they run in this process.
     """
-    workers = _workers(len(config.methods) * config.repeats)
-    pool = None
-    if workers > 1:
-        # Fork, not spawn: workers inherit the imported package, where spawn
-        # would import numpy and the package again in each.
-        pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (config,))
     rows = []
-    try:
-        for param_name, param_value, pairs in _sweep_points(config):
-            metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
-            # Method-major, then repeat: the order the rows aggregate them in.
-            cells = [(method, repeat, train, test) for method in config.methods
-                     for repeat, (train, test) in enumerate(pairs)]
-            # Chunks of one cell: a rand-under cell is far cheaper than a spe cell.
-            outcomes = iter(pool.map(_worker_cell, cells, chunksize=1) if pool
-                            else (_cell(config, *cell) for cell in cells))
-            for method in config.methods:
-                values = {metric: [] for metric in metrics}
-                errors = []
-                for _ in pairs:
-                    result, error = next(outcomes)
-                    if error is not None:
-                        errors.append(error)
-                        continue
-                    for metric in metrics:
-                        values[metric].append(result[metric])
-                for metric, got in values.items():
-                    stats = (float(np.mean(got)), float(np.std(got))) if got else (np.nan,) * 2
-                    rows.append(ResultRow(method, config.base_learner.name, metric, *stats,
-                                          param_name, param_value, tuple(got), tuple(errors)))
-    finally:
-        if pool is not None:
-            # Every task has returned, or the suite is failing: stop the
-            # workers without waiting on their queue, and reap them.
-            pool.terminate()
-            pool.join()
+    for param_name, param_value, pairs in _sweep_points(config):
+        metrics = CHECKERBOARD_METRICS if param_name is None else ("aucprc",)
+        outcomes = iter(_outcomes(config, pairs))
+        for method in config.methods:
+            values = {metric: [] for metric in metrics}
+            errors = []
+            for _ in pairs:
+                result, error = next(outcomes)
+                if error is not None:
+                    errors.append(error)
+                    continue
+                for metric in metrics:
+                    values[metric].append(result[metric])
+            for metric, got in values.items():
+                stats = (float(np.mean(got)), float(np.std(got))) if got else (np.nan,) * 2
+                rows.append(ResultRow(method, config.base_learner.name, metric, *stats,
+                                      param_name, param_value, tuple(got), tuple(errors)))
     return rows
 
 

@@ -132,7 +132,7 @@ class Dataset:
                 f"features have {features.shape[0]} rows "
                 f"but labels have {labels.shape[0]} entries"
             )
-        valid = (labels == 0) | (labels == 1)
+        valid = np.isin(labels, (0, 1))
         if labels.size and not valid.all():
             bad = np.unique(np.asarray(labels)[~valid])
             raise ValueError(f"labels must be 0 or 1, found {bad.tolist()}")

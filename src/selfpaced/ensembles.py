@@ -170,9 +170,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
 
     # Running sum of member scores over the fixed majority rows keeps the
     # per-iteration ensemble mean O(1) member evaluations.
-    # A copy, because it is added to in place and an external member may
-    # return an array it keeps.
-    score_sum = _member_scores(member, majority_X, ranks).copy()
+    score_sum = _member_scores(member, majority_X, ranks)
     members = []
     for i in range(1, n + 1):
         mean_scores = score_sum / i
@@ -187,7 +185,7 @@ def spe_fit(data: Dataset, config: SpeConfig, log=None) -> EnsembleModel:
         member = _fit_member(factory, data, chosen, minority)
         members.append(member)
         if i < n:
-            score_sum += _member_scores(member, majority_X, ranks)
+            score_sum = score_sum + _member_scores(member, majority_X, ranks)
         if log is not None:
             counts = tuple(int(c) for c in partition.counts)
             log.append(IterationLog(i, minority.size, len(chosen), alpha, counts))

@@ -37,9 +37,7 @@ def _shaped(values):
 def absolute_error(p, y):
     """|p - y|, bounded to [0, 1]. The default hardness."""
     p, y = _checked(p, y)
-    error = p - y
-    # In place: spe takes it over every majority row at every iteration.
-    return _shaped(np.abs(error, out=error) if error.ndim else abs(error))
+    return _shaped(np.abs(p - y))
 
 
 def squared_error(p, y):

@@ -1,7 +1,10 @@
 """The process pool under `run_suite`: its size, its workers' lifetime, its inputs."""
+import functools
 import multiprocessing
 import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -46,6 +49,41 @@ def test_a_suite_that_raises_leaves_no_worker(monkeypatch):
     with pytest.raises(RuntimeError, match="no boards"):
         run_suite(BenchConfig(**TINY))
     assert multiprocessing.active_children() == []
+
+
+def test_a_cell_that_raises_past_its_error_record_leaves_no_worker(monkeypatch):
+    # `_cell` records an Exception; anything else stops the suite.
+    force_workers(monkeypatch, 2)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt("stop")
+
+    monkeypatch.setattr(bench, "_fit_and_score", interrupted)
+    with pytest.raises(KeyboardInterrupt, match="stop"):
+        run_suite(BenchConfig(**TINY))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_stops_the_suite_and_leaves_no_worker(monkeypatch):
+    force_workers(monkeypatch, 2)
+    parent = os.getpid()
+
+    def killed(*args):
+        assert os.getpid() != parent, "the cell ran in process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(bench, "_fit_and_score", killed)
+    with pytest.raises(BrokenProcessPool):
+        run_suite(BenchConfig(**TINY))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_traced_suite_runs_its_cells_in_process(monkeypatch):
+    # A tracer that wraps this module's fit_method records spans only in its
+    # own process, so the cells stay there.
+    traced = functools.wraps(bench.fit_method)(lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench, "fit_method", traced)
+    assert bench._workers(1000) == 1
 
 
 def test_workers_take_a_config_that_cannot_be_pickled(monkeypatch):
