@@ -71,6 +71,19 @@ def _row_ids(rows, name):
     return rows.astype(np.int64, copy=False)
 
 
+def _labels(values):
+    """`values` as int64 0/1 labels, any shape; other values are named, sorted if they can be."""
+    values = np.asarray(values)
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        try:
+            found = np.unique(bad).tolist()
+        except TypeError:
+            found = list(dict.fromkeys(bad.tolist()))
+        raise ValueError(f"labels must be 0 or 1, found {found}")
+    return values.astype(np.int64)
+
+
 def _check_unit_interval(values, noun):
     """Refuse a float64 array holding NaN or a value outside [0, 1]; `noun` names it."""
     # min and max propagate NaN, and NaN fails both comparisons.
@@ -132,11 +145,7 @@ class Dataset:
                 f"features have {features.shape[0]} rows "
                 f"but labels have {labels.shape[0]} entries"
             )
-        valid = np.isin(labels, (0, 1))
-        if labels.size and not valid.all():
-            bad = np.unique(np.asarray(labels)[~valid])
-            raise ValueError(f"labels must be 0 or 1, found {bad.tolist()}")
-        labels = labels.astype(np.int64)
+        labels = _labels(labels)
         if feature_names is not None:
             feature_names = tuple(str(name) for name in feature_names)
             if len(feature_names) != features.shape[1]:
@@ -204,6 +213,11 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """New dataset holding the given rows (duplicates allowed)."""
         rows = _row_ids(rows, "rows")
+        outside = (rows < 0) | (rows >= self.n_samples)
+        if outside.any():
+            raise ValueError(
+                f"rows must be row ids in [0, {self.n_samples}), got {rows[outside][0]}"
+            )
         return Dataset(self._features[rows], self._labels[rows], self._feature_names)
 
     def __len__(self) -> int:

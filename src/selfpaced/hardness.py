@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_unit_interval
+from .core import _check_unit_interval, _labels
 
 __all__ = [
     "absolute_error",
@@ -24,10 +24,7 @@ CROSS_ENTROPY_EPS = 1e-12
 def _checked(p, y):
     p = np.asarray(p, dtype=np.float64)
     _check_unit_interval(p, "probabilities")
-    y = np.asarray(y)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return p, y.astype(np.float64)
+    return p, _labels(y)
 
 
 def _shaped(values):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _ColumnRanks, _check_features, _check_predict_input, _integer, _number
+from .core import _ColumnRanks, _check_features, _check_predict_input, _integer, _labels, _number
 
 __all__ = [
     "DecisionTreeClassifier",
@@ -72,9 +72,7 @@ def _check_training_inputs(X, y, sample_weight):
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    y = y.astype(np.int64)
+    y = _labels(y)
     if sample_weight is None:
         w = np.ones(X.shape[0], dtype=np.float64)
     else:
@@ -184,7 +182,7 @@ class DecisionTreeClassifier:
             max_depth = _integer(max_depth, "max_depth", 1)
         min_samples_split = _integer(min_samples_split, "min_samples_split", 1)
         min_impurity_decrease = _number(min_impurity_decrease, "min_impurity_decrease")
-        if min_impurity_decrease < 0:
+        if not min_impurity_decrease >= 0:
             raise ValueError("min_impurity_decrease must be nonnegative")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

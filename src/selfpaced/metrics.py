@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_unit_interval, _number
+from .core import Dataset, _check_unit_interval, _labels, _number
 from .sampling import largest_remainder_shares
 
 __all__ = [
@@ -52,16 +52,17 @@ def _checked_scored(labels, scores):
         raise ValueError("labels and scores must be aligned 1-D sequences")
     if labels.size == 0:
         raise ValueError("cannot score an empty prediction set")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    labels = _labels(labels)
     _check_unit_interval(scores, "scores")
-    return labels.astype(np.int64), scores
+    return labels, scores
 
 
 def confusion(labels, scores, threshold=0.5) -> ConfusionMatrix:
     """Confusion counts at a threshold (score >= threshold is positive)."""
     labels, scores = _checked_scored(labels, scores)
     threshold = _number(threshold, "threshold")
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
     predicted = scores >= threshold
     actual = labels == 1
     return ConfusionMatrix(
@@ -150,7 +151,7 @@ def stratified_split(data: Dataset, fractions=(0.6, 0.2, 0.2), rng=None):
     fractions = tuple(_number(f, "fractions") for f in fractions)
     if len(fractions) != 3:
         raise ValueError(f"expected three fractions, got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):
         raise ValueError("fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")

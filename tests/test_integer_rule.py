@@ -4,15 +4,17 @@ A whole number is an `int` or a numpy integer. A float such as 2.5, a
 string such as "3" and a bool are refused with "<name> must be an integer",
 where truncating them would quietly use another value. Arrays of row ids
 follow the same rule by dtype, and a real-valued setting refuses a string
-such as "0.5" that `float()` would parse.
+such as "0.5" that `float()` would parse, and NaN. Labels, wherever they
+are passed, are 0 or 1 of any dtype, and every other value is named.
 """
 import numpy as np
 import pytest
 
 from selfpaced.core import Dataset, RandomSource, partial_ensemble
 from selfpaced.data import corrupt_missing, load_csv
+from selfpaced.hardness import absolute_error, cross_entropy, squared_error
 from selfpaced.learners import AdaBoostClassifier, DecisionTreeClassifier, learner_from_doc
-from selfpaced.metrics import confusion, stratified_split
+from selfpaced.metrics import aucprc, confusion, metric_report, stratified_split
 from selfpaced.sampling import (
     bin_sampling_weights,
     draw_undersample,
@@ -132,6 +134,22 @@ def test_an_empty_list_of_row_ids_passes():
     assert DATA.subset([]).n_samples == 0
 
 
+@pytest.mark.parametrize("rows, first", [
+    ([-1], -1),
+    ([4], 4),
+    (np.array([0, 3, 9, -2], dtype=np.int8), 9),
+    (np.array([1, 2**63], dtype=np.uint64), None),
+])
+def test_dataset_subset_refuses_a_row_id_outside_its_rows(rows, first):
+    if first is None:
+        # Past the int64 range, the dtype rule refuses it first.
+        message = rf"^rows must be integer row ids, got {2**63}$"
+    else:
+        message = rf"^rows must be row ids in \[0, 4\), got {first}$"
+    with pytest.raises(ValueError, match=message):
+        DATA.subset(rows)
+
+
 @pytest.mark.parametrize("site", ROW_ID_SITES)
 def test_a_uint64_row_id_past_the_int64_range_is_refused(site):
     name, call = ROW_ID_SITES[site]
@@ -165,3 +183,72 @@ def test_every_real_valued_setting_refuses_a_string(site):
     with pytest.raises(ValueError, match=rf"^{name} must be a number, got '{good}'$"):
         call(str(good))
     call(np.float32(good))
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_valued_setting_refuses_nan(site):
+    name, call, _ = REAL_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call(float("nan"))
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call(np.float32("nan"))
+
+
+def scores_for(labels):
+    return np.linspace(0.1, 0.9, labels.size)
+
+
+def fitted(learner, labels):
+    return learner.fit(np.arange(labels.size, dtype=np.float64)[:, None], labels).to_json_doc()
+
+
+# site -> (a call that passes labels, whether the site refuses empty input of its own)
+LABEL_SITES = {
+    "Dataset": (lambda y: Dataset(np.zeros((y.size, 1)), y).labels.tolist(), False),
+    "DecisionTreeClassifier.fit": (lambda y: fitted(DecisionTreeClassifier(), y), True),
+    "AdaBoostClassifier.fit": (lambda y: fitted(AdaBoostClassifier(n_estimators=3), y), True),
+    "confusion": (lambda y: confusion(y, scores_for(y)), True),
+    "aucprc": (lambda y: aucprc(y, scores_for(y)), True),
+    "metric_report": (lambda y: metric_report(y, scores_for(y)), True),
+    "absolute_error": (lambda y: absolute_error(scores_for(y), y).tolist(), False),
+    "squared_error": (lambda y: squared_error(scores_for(y), y).tolist(), False),
+    "cross_entropy": (lambda y: cross_entropy(scores_for(y), y).tolist(), False),
+}
+
+# The arrays of test_dataset_takes_zero_and_one_of_any_dtype (tests/test_core.py).
+GOOD_LABELS = [
+    np.array([True, False]),
+    np.array([0.0, 1.0, -0.0]),
+    np.array([0, 1, True, 1.0], dtype=object),
+    np.array([0, 1], dtype=np.uint64),
+    np.array([], dtype=np.float64),
+]
+
+# The arrays of test_dataset_names_the_labels_it_refuses, and unorderable values.
+BAD_LABELS = [
+    (np.array(["0", "1"]), "['0', '1']"),
+    (np.array([0.0, 0.5, np.nan]), "[0.5, nan]"),
+    (np.array([1.0, np.inf, -np.inf]), "[-inf, inf]"),
+    (np.array([0, 2**64 - 1], dtype=np.uint64), "[18446744073709551615]"),
+    (np.array([0, 2, 1, -1], dtype=object), "[-1, 2]"),
+    (np.array([0, "x", None], dtype=object), "['x', None]"),
+]
+
+
+@pytest.mark.parametrize("site, labels", [
+    (site, labels) for site in LABEL_SITES for labels in GOOD_LABELS
+    if labels.size or not LABEL_SITES[site][1]
+])
+def test_every_label_site_takes_zero_and_one_of_any_dtype_as_int64(site, labels):
+    call, _ = LABEL_SITES[site]
+    assert call(labels) == call(labels.astype(np.int64))
+
+
+@pytest.mark.parametrize("site, labels, found", [
+    (site, labels, found) for site in LABEL_SITES for labels, found in BAD_LABELS
+])
+def test_every_label_site_names_the_labels_it_refuses(site, labels, found):
+    call, _ = LABEL_SITES[site]
+    with pytest.raises(ValueError, match=r"^labels must be 0 or 1, found ") as info:
+        call(labels)
+    assert str(info.value) == f"labels must be 0 or 1, found {found}"
