@@ -138,15 +138,9 @@ def test_an_empty_list_of_row_ids_passes():
     ([-1], -1),
     ([4], 4),
     (np.array([0, 3, 9, -2], dtype=np.int8), 9),
-    (np.array([1, 2**63], dtype=np.uint64), None),
 ])
 def test_dataset_subset_refuses_a_row_id_outside_its_rows(rows, first):
-    if first is None:
-        # Past the int64 range, the dtype rule refuses it first.
-        message = rf"^rows must be integer row ids, got {2**63}$"
-    else:
-        message = rf"^rows must be row ids in \[0, 4\), got {first}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"^rows must be row ids in \[0, 4\), got {first}$"):
         DATA.subset(rows)
 
 
@@ -249,6 +243,6 @@ def test_every_label_site_takes_zero_and_one_of_any_dtype_as_int64(site, labels)
 ])
 def test_every_label_site_names_the_labels_it_refuses(site, labels, found):
     call, _ = LABEL_SITES[site]
-    with pytest.raises(ValueError, match=r"^labels must be 0 or 1, found ") as info:
+    with pytest.raises(ValueError) as info:
         call(labels)
     assert str(info.value) == f"labels must be 0 or 1, found {found}"
