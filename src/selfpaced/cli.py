@@ -119,9 +119,10 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
     subs = {}
 
-    def register(name, help_text):
+    def register(name, help_text, seeded=True):
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--seed", type=int, default=0)
+        if seeded:
+            sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--config", help="key=value file supplying unset flags")
         sub.add_argument("--output", help="output path (command-specific default)")
         subs[name] = sub
@@ -139,7 +140,7 @@ def build_parser():
     _add_learner_options(sub)
     sub.add_argument("--report", help="report path (default: <output>.report.json)")
 
-    sub = register("predict", "score rows with a trained model")
+    sub = register("predict", "score rows with a trained model", seeded=False)
     sub.add_argument("--model", help="model JSON path")
     _add_data_options(sub, labelled=False)
 
@@ -149,7 +150,7 @@ def build_parser():
     _add_split_options(sub, "test")
     sub.add_argument("--threshold", type=float, default=0.5)
 
-    sub = register("metrics", "compute metrics from a label,score CSV")
+    sub = register("metrics", "compute metrics from a label,score CSV", seeded=False)
     sub.add_argument("--data", help="two-column CSV of label,score")
     sub.add_argument("--threshold", type=float, default=0.5)
 

@@ -61,14 +61,12 @@ class CheckerboardSpec:
         return np.asarray(points, dtype=np.float64)
 
 
-def generate_checkerboard(spec: CheckerboardSpec, rng: RandomSource | None = None) -> Dataset:
-    """Sample a dataset from a checkerboard spec.
+def generate_checkerboard(spec: CheckerboardSpec) -> Dataset:
+    """Sample a dataset from a checkerboard spec, with streams drawn from spec.seed.
 
-    Majority rows come first, then minority rows. Passing `rng` overrides the
-    stream derived from spec.seed.
+    Majority rows come first, then minority rows.
     """
-    if rng is None:
-        rng = RandomSource(spec.seed)
+    rng = RandomSource(spec.seed)
     sigma = math.sqrt(spec.cov_scale)
     parts = []
     labels = []

@@ -165,10 +165,10 @@ class DecisionTreeClassifier:
     search that sorts each node's rows on its own.
 
     A fitted tree is held as parallel per-node lists in breadth-first order,
-    the order the fit creates its nodes in: `feature_` and `threshold_` (-1
-    and 0.0 at a leaf), `children_` (a split node's left child c, whose right
-    sibling is c + 1; -1 at a leaf), and `probability_` and `count_` (a
-    leaf's weighted positive fraction and training row count, 0.0 and 0 at a
+    the order the fit creates its nodes in: `feature_` (-1 at a leaf),
+    `children_` (a split node's left child c, whose right sibling is c + 1;
+    -1 at a leaf), `value_` (a split node's threshold, a leaf's weighted
+    positive fraction) and `count_` (a leaf's training row count, 0 at a
     split node). They hold what the JSON document holds, no more, so a tree
     read back from its document has the lists it was fitted with.
 
@@ -182,13 +182,12 @@ class DecisionTreeClassifier:
             max_depth = _integer(max_depth, "max_depth", 1)
         min_samples_split = _integer(min_samples_split, "min_samples_split", 1)
         min_impurity_decrease = _number(min_impurity_decrease, "min_impurity_decrease")
-        if not min_impurity_decrease >= 0:
+        if not 0 <= min_impurity_decrease < math.inf:
             raise ValueError("min_impurity_decrease must be nonnegative")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.feature_ = self.threshold_ = self.children_ = None
-        self.probability_ = self.count_ = None
+        self.feature_ = self.children_ = self.value_ = self.count_ = None
         self._descent = self._table = None
         self.n_features_in_ = None
 
@@ -276,7 +275,7 @@ class DecisionTreeClassifier:
         by_value = [np.argsort(column, kind="stable") for column in columns]
         # Nodes in breadth-first order, appended a depth at a time; a split
         # node's children are `children[node]` and the node after it.
-        feature, threshold, probability, count, children = [], [], [], [], []
+        feature, children, value, count = [], [], [], []
         sizes = np.array([n_rows])  # rows per node of this depth
         depth = 0
         while True:
@@ -302,9 +301,8 @@ class DecisionTreeClassifier:
             # The next depth's nodes follow this depth's, in their parents' order.
             first_child = len(feature) + sizes.size + 2 * (np.cumsum(split) - 1)
             feature += split_feature.tolist()
-            threshold += split_threshold.tolist()
             children += np.where(split, first_child, -1).tolist()
-            probability += np.where(split, 0.0, leaf_probability).tolist()
+            value += np.where(split, split_threshold, leaf_probability).tolist()
             count += np.where(split, 0, sizes).tolist()
             if n_split == 0:
                 break
@@ -319,8 +317,7 @@ class DecisionTreeClassifier:
             by_row = _regroup(rows, key)
             sizes = np.bincount(key[rows], minlength=2 * n_split)
             depth += 1
-        self.feature_, self.threshold_, self.children_ = feature, threshold, children
-        self.probability_, self.count_ = probability, count
+        self.feature_, self.children_, self.value_, self.count_ = feature, children, value, count
         self._build_descent()
         return self
 
@@ -334,8 +331,8 @@ class DecisionTreeClassifier:
         """
         feature = np.array(self.feature_, dtype=np.intp)
         leaf = feature < 0
-        threshold = np.array(self.threshold_, dtype=np.float64)
-        threshold[leaf] = np.inf
+        value = np.array(self.value_, dtype=np.float64)
+        threshold = np.where(leaf, np.inf, value)
         child = np.array(self.children_, dtype=np.intp)
         child[leaf] = np.flatnonzero(leaf)
         feature[leaf] = 0
@@ -344,8 +341,7 @@ class DecisionTreeClassifier:
         for node, first in enumerate(self.children_):
             if first >= 0:
                 depth[first] = depth[first + 1] = depth[node] + 1
-        probability = np.array(self.probability_, dtype=np.float64)
-        self._descent = feature, threshold, child, probability, depth[-1]
+        self._descent = feature, threshold, child, value, depth[-1]
         self._table = None
 
     def predict_proba(self, X):
@@ -359,13 +355,13 @@ class DecisionTreeClassifier:
             # One row costs less as a walk over the lists than as one array
             # pass per level.
             row = X[0].tolist()
-            feature, threshold, children = self.feature_, self.threshold_, self.children_
+            feature, children, value = self.feature_, self.children_, self.value_
             node = 0
             while feature[node] >= 0:
                 child = children[node]
                 # Not `>`: no value is <= a NaN threshold, so a row goes right.
-                node = child if row[feature[node]] <= threshold[node] else child + 1
-            return np.array([self.probability_[node]])
+                node = child if row[feature[node]] <= value[node] else child + 1
+            return np.array([value[node]])
         table = None if ranks is None or X.shape[0] < _TABLE_CELLS else self._leaf_table()
         if table is None:
             return _descend(X, *self._descent)
@@ -401,9 +397,9 @@ class DecisionTreeClassifier:
         """
         if self._table is None:
             feature = np.array(self.feature_)
-            threshold = np.array(self.threshold_)
+            value = np.array(self.value_)
             used = np.unique(feature[feature >= 0]).tolist()
-            cuts = [np.unique(threshold[(feature == f) & ~np.isnan(threshold)]) for f in used]
+            cuts = [np.unique(value[(feature == f) & ~np.isnan(value)]) for f in used]
             shape = [cut.size + 1 for cut in cuts]
             strides = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
             cells, leaf = math.prod(shape), None
@@ -415,9 +411,9 @@ class DecisionTreeClassifier:
                 axes = np.meshgrid(*(np.append(cut, np.inf) for cut in cuts), indexing="ij")
                 for axis, values in enumerate(axes):
                     grid[:, axis] = values.ravel()
-                feature, threshold, child, probability, depth = self._descent
+                feature, threshold, child, value, depth = self._descent
                 leaf = _descend(grid, np.searchsorted(used, feature), threshold, child,
-                                probability, depth)
+                                value, depth)
             self._table = used, cuts, strides, cells, leaf
         used, cuts, strides, _, leaf = self._table
         return None if leaf is None else (used, cuts, strides, leaf)
@@ -431,11 +427,11 @@ class DecisionTreeClassifier:
         for node in range(len(docs) - 1, -1, -1):
             feature = self.feature_[node]
             if feature < 0:
-                docs[node] = {"probability": self.probability_[node], "count": self.count_[node]}
+                docs[node] = {"probability": self.value_[node], "count": self.count_[node]}
             else:
                 docs[node] = {
                     "feature": feature,
-                    "threshold": self.threshold_[node],
+                    "threshold": self.value_[node],
                     "left": docs[self.children_[node]],
                     "right": docs[self.children_[node] + 1],
                 }
@@ -457,7 +453,7 @@ class DecisionTreeClassifier:
         model = _doc_field(doc, "params", "tree", lambda params: cls(**params))
         n_features = _doc_field(doc, "n_features", "tree", lambda n: _integer(n, "n_features"))
         model.n_features_in_ = n_features
-        feature, threshold, children, probability, count = [], [], [], [], []
+        feature, children, value, count = nodes = [], [], [], []
         # The node documents in breadth-first order: node i is queue[i], and
         # a split node appends its children as it is read.
         queue = [_doc_field(doc, "root", "tree")]
@@ -467,18 +463,16 @@ class DecisionTreeClassifier:
                     raise ValueError(f"node {node_doc!r} is not an object")
                 if _SPLIT_KEYS.isdisjoint(node_doc):
                     feature.append(-1)
-                    threshold.append(0.0)
                     children.append(-1)
-                    probability.append(float(node_doc["probability"]))
+                    value.append(float(node_doc["probability"]))
                     count.append(_integer(node_doc["count"], "count"))
                     continue
                 f = _integer(node_doc["feature"], "feature")
                 if not 0 <= f < n_features:
                     raise ValueError(f"feature {f} outside [0, {n_features})")
                 feature.append(f)
-                threshold.append(float(node_doc["threshold"]))
                 children.append(len(queue))
-                probability.append(0.0)
+                value.append(float(node_doc["threshold"]))
                 count.append(0)
                 queue.append(node_doc["left"])
                 queue.append(node_doc["right"])
@@ -486,17 +480,16 @@ class DecisionTreeClassifier:
             raise ValueError(f"malformed tree document: a node has no {err} field") from err
         except (TypeError, ValueError) as err:
             raise ValueError(f"malformed tree document: {err}") from err
-        model.feature_, model.threshold_, model.children_ = feature, threshold, children
-        model.probability_, model.count_ = probability, count
+        model.feature_, model.children_, model.value_, model.count_ = nodes
         model._build_descent()
         return model
 
 
-def _descend(X, feature, threshold, child, probability, depth):
+def _descend(X, feature, threshold, child, value, depth):
     """Scores of the rows of X, each descending the node arrays one level per pass.
 
     The rows go in blocks; `flat` holds a block row after row, so row i's
-    feature f is at base[i] + f. A row at a leaf stays there.
+    feature f is at base[i] + f. A row stays at a leaf: its value is the score.
     """
     n_rows, n_features = X.shape
     out = np.empty(n_rows, dtype=np.float64)
@@ -510,7 +503,7 @@ def _descend(X, feature, threshold, child, probability, depth):
             goes_left = flat.take(offsets + feature.take(node)) <= threshold.take(node)
             node = child.take(node) + 1
             node -= goes_left
-        out[start:start + size] = probability.take(node)
+        out[start:start + size] = value.take(node)
     return out
 
 
@@ -530,7 +523,7 @@ class AdaBoostClassifier:
         n_estimators = _integer(n_estimators, "n_estimators", 1)
         weak_learner_depth = _integer(weak_learner_depth, "weak_learner_depth", 1)
         learning_rate = _number(learning_rate, "learning_rate")
-        if not learning_rate > 0:
+        if not 0 < learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.n_estimators = n_estimators
         self.weak_learner_depth = weak_learner_depth
@@ -547,9 +540,8 @@ class AdaBoostClassifier:
         w = w / w.sum()
         stages = []
         errors = []
+        total = 0.0
         for _ in range(self.n_estimators):
-            # The weights stay finite, nonnegative and normalized, as checked
-            # weights are: `math.exp` raises rather than overflow.
             weak = DecisionTreeClassifier(max_depth=self.weak_learner_depth)
             weak._fit(X, y, w)
             predicted = weak._score_rows(X) >= 0.5
@@ -563,10 +555,20 @@ class AdaBoostClassifier:
                 stage_weight = self.learning_rate * 0.5 * math.log((1.0 - err) / err)
             stages.append((stage_weight, weak))
             errors.append(err)
+            # The vote is divided by the stage weights' sum, which must stay
+            # finite. The missed rows, err < 0.5 of the weight, are scaled by
+            # exp(stage weight), so the weights' new sum is finite if that is.
+            total += stage_weight
             if miss.any():
                 w = w.copy()
-                w[miss] *= math.exp(stage_weight)
+                try:
+                    w[miss] *= math.exp(stage_weight)
+                except OverflowError:
+                    total = math.inf
                 w = w / w.sum()
+            if not math.isfinite(total):
+                raise ValueError(f"learning_rate {self.learning_rate} overflows the boosting "
+                                 "weights; use a smaller learning_rate")
         self.stages_ = stages
         self.errors_ = errors
         self.sample_weight_ = w

@@ -218,6 +218,14 @@ def test_only_train_and_eval_take_a_positive_label(tmp_path, capsys):
     assert "unrecognized arguments: --positive-label 1" in err["error"]
 
 
+@pytest.mark.parametrize("command", ["predict", "metrics"])
+def test_only_the_commands_that_draw_at_random_take_a_seed(command, capsys):
+    # predict and metrics draw nothing, so a seed would have no effect.
+    code, err = run_cli_error(capsys, [command, "--seed", "1"])
+    assert code == 2
+    assert err == {"error": "unrecognized arguments: --seed 1"}
+
+
 def test_eval_emits_exact_metric_keys(tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
     run_cli(

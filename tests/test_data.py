@@ -81,15 +81,6 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.features, c.features)
 
 
-def test_generate_rng_override():
-    spec = CheckerboardSpec(seed=1)
-    default = generate_checkerboard(spec)
-    overridden = generate_checkerboard(spec, rng=RandomSource(2))
-    matches_seed2 = generate_checkerboard(CheckerboardSpec(seed=2))
-    assert np.array_equal(overridden.features, matches_seed2.features)
-    assert not np.array_equal(overridden.features, default.features)
-
-
 def test_generate_tiny_covariance_sits_on_grid():
     spec = CheckerboardSpec(cov_scale=1e-18, n_minority=200, n_majority=400, seed=3)
     data = generate_checkerboard(spec)

@@ -4,9 +4,12 @@ A whole number is an `int` or a numpy integer. A float such as 2.5, a
 string such as "3" and a bool are refused with "<name> must be an integer",
 where truncating them would quietly use another value. Arrays of row ids
 follow the same rule by dtype, and a real-valued setting refuses a string
-such as "0.5" that `float()` would parse, and NaN. Labels, wherever they
-are passed, are 0 or 1 of any dtype, and every other value is named.
+such as "0.5" that `float()` would parse, and NaN; a learner's, infinity
+too. Labels, wherever they are passed, are 0 or 1 of any dtype, and every
+other value is named.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +189,39 @@ def test_every_real_valued_setting_refuses_nan(site):
         call(float("nan"))
     with pytest.raises(ValueError, match=rf"^{name} must "):
         call(np.float32("nan"))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.float32("inf")])
+@pytest.mark.parametrize("site", ["tree min_impurity_decrease", "booster learning_rate"])
+def test_every_learner_setting_refuses_infinity(site, value):
+    # A learner holds its settings in its LearnerSpec and model document,
+    # where json.dumps would write `Infinity`.
+    name, call, _ = REAL_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call(value)
+
+
+@pytest.mark.parametrize("learning_rate, labels", [
+    (1e308, [0, 0, 1, 1]),  # a perfect round's stage weight is inf
+    (1e307, [0, 0, 1, 1]),  # each stage weight is finite, their sum is not
+    (61.0, [0, 0, 1, 0]),  # exp(stage weight) overflows
+])
+def test_a_booster_whose_weights_overflow_names_learning_rate(learning_rate, labels):
+    booster = AdaBoostClassifier(n_estimators=3, learning_rate=learning_rate)
+    with pytest.raises(ValueError, match=rf"^learning_rate {re.escape(str(learning_rate))} "):
+        booster.fit(X, labels)
+
+
+@pytest.mark.parametrize("learning_rate, labels, scores", [
+    (5.0, [0, 0, 1, 0],
+     [0.6183073527172182, 0.6183073527172182, 0.7115205477217916, 0.17085362157705228]),
+    (1e300, [0, 0, 1, 1],
+     [0.11920292202211755, 0.11920292202211755, 0.8807970779778823, 0.8807970779778823]),
+])
+def test_a_large_learning_rate_that_fits_keeps_its_scores(learning_rate, labels, scores):
+    # The scores these fits gave before overflowing rates were refused.
+    booster = AdaBoostClassifier(n_estimators=3, learning_rate=learning_rate).fit(X, labels)
+    assert booster.predict_proba(X).tolist() == scores
 
 
 def scores_for(labels):

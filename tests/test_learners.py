@@ -190,11 +190,11 @@ def test_tree_split_never_leaves_a_child_empty(values):
         tree = DecisionTreeClassifier(max_depth=None).fit(X, [0, 1])
         reference = ReferenceTree(max_depth=None).fit(X, [0, 1])
     assert len(tree.feature_) == 3
-    assert tree.threshold_[0] == values[0]
+    assert tree.value_[0] == values[0]
     assert tree.count_ == [0, 1, 1]
-    assert tree.probability_ == [0.0, 0.0, 1.0]
+    assert tree.value_[1:] == [0.0, 1.0]
     assert tree.predict_proba(X).tolist() == [0.0, 1.0]
-    assert repr(reference.threshold_) == repr(tree.threshold_)
+    assert repr(reference.value_) == repr(tree.value_)
 
 
 def test_tree_rejects_non_finite_features():
@@ -429,7 +429,7 @@ def test_adaboost_fit_checks_its_inputs_once(monkeypatch):
     w = np.full(X.shape[0], 1.0 / X.shape[0])
     for stage_weight, weak in ada.stages_:
         expected = DecisionTreeClassifier(max_depth=2).fit(X, y, sample_weight=w)
-        for name in ("feature_", "threshold_", "children_", "probability_", "count_"):
+        for name in ("feature_", "children_", "value_", "count_"):
             assert repr(getattr(weak, name)) == repr(getattr(expected, name))
         miss = (expected.predict_proba(X) >= 0.5) != (y == 1)
         w = w.copy()

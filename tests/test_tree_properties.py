@@ -15,11 +15,16 @@ from tree_reference import ReferenceTree, reference_predict_proba
 
 from selfpaced.core import _RANK_BLOCK, MeanScorer, RandomSource, _ColumnRanks
 from selfpaced.data import CheckerboardSpec, generate_checkerboard
-from selfpaced.learners import _DESCENT_BLOCK, _TABLE_CELLS, DecisionTreeClassifier
+from selfpaced.learners import (
+    _DESCENT_BLOCK,
+    _TABLE_CELLS,
+    AdaBoostClassifier,
+    DecisionTreeClassifier,
+)
 
 DEPTHS = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
-NODE_LISTS = ("feature_", "threshold_", "children_", "probability_", "count_")
+NODE_LISTS = ("feature_", "children_", "value_", "count_")
 
 
 @st.composite
@@ -152,7 +157,7 @@ def test_level_wise_fit_matches_the_reference_on_balanced_bags():
     # Ensemble-sized inputs: 1000 minority rows plus 1000 drawn majority rows
     # of the default board, with unit weights at depth 10 and with the
     # normalized weights of AdaBoost's first round at depth 4.
-    data = generate_checkerboard(CheckerboardSpec(), RandomSource(3))
+    data = generate_checkerboard(CheckerboardSpec(seed=3))
     gen = RandomSource(4).generator
     for bag in range(3):
         rows = np.concatenate([
@@ -166,6 +171,29 @@ def test_level_wise_fit_matches_the_reference_on_balanced_bags():
         w = w / w.sum()
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y, sample_weight=w)
         assert_same_tree(tree, ReferenceTree(max_depth=4).fit(X, y, sample_weight=w))
+
+
+def assert_document_holds_the_tree(tree):
+    # A tree holds its four node lists and nothing else per node: one value
+    # per node, so as many distinct floats as nodes, fresh or read back.
+    assert sorted(k for k, v in vars(tree).items() if isinstance(v, list)) == sorted(NODE_LISTS)
+    restored = DecisionTreeClassifier.from_json_doc(tree.to_json_doc())
+    for name in NODE_LISTS:
+        assert repr(getattr(restored, name)) == repr(getattr(tree, name)), name
+    for held in (tree, restored):
+        assert len({id(value) for value in held.value_}) == len(held.feature_)
+
+
+def test_a_tree_and_its_document_hold_the_same_thing():
+    data = generate_checkerboard(CheckerboardSpec())
+    tree = DecisionTreeClassifier(max_depth=10).fit(data.features, data.labels)
+    assert len(tree.feature_) == 549
+    assert_document_holds_the_tree(tree)
+    booster = AdaBoostClassifier(n_estimators=10, weak_learner_depth=4)
+    booster.fit(data.features, data.labels)
+    assert len(booster.stages_) == 10
+    for _, weak in booster.stages_:
+        assert_document_holds_the_tree(weak)
 
 
 def test_predict_of_a_root_leaf_tree():
@@ -189,7 +217,7 @@ def test_predict_of_a_document_with_a_nan_threshold():
 def test_level_wise_predict_matches_the_reference_across_row_blocks():
     # More than two full blocks plus a partial one, on a depth-10 tree of the
     # default board and on its model document read back.
-    data = generate_checkerboard(CheckerboardSpec(n_majority=3000), RandomSource(5))
+    data = generate_checkerboard(CheckerboardSpec(n_majority=3000, seed=5))
     tree = DecisionTreeClassifier(max_depth=10).fit(data.features, data.labels)
     rows = RandomSource(6).generator.uniform(-0.5, 4.5, size=(2 * _DESCENT_BLOCK + 123, 2))
     expected = reference_predict_proba(tree, rows).tobytes()

@@ -27,9 +27,9 @@ def reference_predict_proba(tree, X):
         node, rows = work.pop()
         f = tree.feature_[node]
         if f < 0:
-            out[rows] = tree.probability_[node]
+            out[rows] = tree.value_[node]
             continue
-        goes_left = columns[f][rows] <= tree.threshold_[node]
+        goes_left = columns[f][rows] <= tree.value_[node]
         left_rows = rows[goes_left]
         if left_rows.size:
             work.append((tree.children_[node], left_rows))
@@ -92,8 +92,8 @@ class ReferenceTree(DecisionTreeClassifier):
     def fit(self, X, y, sample_weight=None):
         X, y, w = _check_training_inputs(X, y, sample_weight)
         self.n_features_in_ = X.shape[1]
-        nodes = ([], [], [], [], [])
-        self.feature_, self.threshold_, self.children_, self.probability_, self.count_ = nodes
+        nodes = ([], [], [], [])
+        self.feature_, self.children_, self.value_, self.count_ = nodes
         # First-in first-out queue of (rows, depth): nodes are laid out in
         # breadth-first order, and a node's id is its place in that order.
         work = deque([(np.arange(X.shape[0]), 0)])
@@ -112,13 +112,13 @@ class ReferenceTree(DecisionTreeClassifier):
             if found is None:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     probability = float(w_pos / w_total)
-                for node_list, value in zip(nodes, (-1, 0.0, -1, probability, int(rows.size))):
+                for node_list, value in zip(nodes, (-1, -1, probability, int(rows.size))):
                     node_list.append(value)
                 continue
             _, feature, threshold = found
             # The queued nodes come first, then this node's children.
             first_child = len(self.feature_) + 1 + len(work)
-            for node_list, value in zip(nodes, (feature, float(threshold), first_child, 0.0, 0)):
+            for node_list, value in zip(nodes, (feature, first_child, float(threshold), 0)):
                 node_list.append(value)
             goes_left = X[rows, feature] <= threshold
             work.append((rows[goes_left], depth + 1))
