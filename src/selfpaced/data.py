@@ -43,8 +43,9 @@ class CheckerboardSpec:
     grid_size: int = 4
 
     def __post_init__(self):
-        if not _real(self, "cov_scale") > 0:
-            raise ValueError(f"cov_scale must be positive, got {self.cov_scale}")
+        if not 0 < _real(self, "cov_scale") < math.inf:
+            bound = "finite" if self.cov_scale > 0 else "positive"
+            raise ValueError(f"cov_scale must be {bound}, got {self.cov_scale}")
         if _whole(self, "n_minority") < 1 or _whole(self, "n_majority") < 1:
             raise ValueError("both class counts must be positive")
         _whole(self, "grid_size", 2)

@@ -4,9 +4,9 @@ The classifier contract used across the package: `fit(X, y, sample_weight=None)`
 returning self, `predict_proba(X)` returning the positive-class probability
 per row (a scalar for a single 1-D row), and an `n_features_in_` attribute set
 by fit. Any object honoring it can serve as an ensemble base learner.
-The built-in ones also score a checked float64 matrix through a private
-`_score_rows(X, ranks=None)`, which ensembles and boosters call without a
-second check, and fit checked arrays through a private `_fit(X, y, w)`.
+The built-in ones, sharing `_BuiltIn`, also score a checked float64 matrix
+through a private `_score_rows(X, ranks=None)`, which ensembles and boosters
+call without a second check, and fit checked arrays through `_fit(X, y, w)`.
 """
 from __future__ import annotations
 
@@ -149,7 +149,48 @@ def _regroup(rows, key):
     return rows[kept][np.argsort(keys[kept], kind="stable")]
 
 
-class DecisionTreeClassifier:
+def _params(learner):
+    """Every constructor parameter of `learner`, in signature order, as it holds it."""
+    return {key: getattr(learner, key) for key in inspect.signature(type(learner)).parameters}
+
+
+class _BuiltIn:
+    """The public contract and the document head, shared by the built-in learners.
+
+    A subclass sets `kind`, its document's kind, and holds its algorithm:
+    `_fit`, `_score_rows` and the document body (`_doc_body`, `_read_body`).
+    A learner is fitted once `_fit` or `from_json_doc` sets `n_features_in_`.
+    """
+
+    n_features_in_ = None
+
+    def fit(self, X, y, sample_weight=None):
+        return self._fit(*_check_training_inputs(X, y, sample_weight))
+
+    def predict_proba(self, X):
+        X, single = _check_predict_input(X, self.n_features_in_, self.n_features_in_ is not None)
+        scores = self._score_rows(X)
+        return float(scores[0]) if single else scores
+
+    def to_json_doc(self):
+        if self.n_features_in_ is None:
+            raise ValueError(f"cannot serialize an unfitted {type(self).__name__}")
+        return {"kind": self.kind, "params": _params(self), "n_features": self.n_features_in_,
+                **self._doc_body()}
+
+    @classmethod
+    def from_json_doc(cls, doc):
+        kind = _doc_field(doc, "kind", cls.kind)
+        if kind != cls.kind:
+            raise ValueError(f"{cls.kind} document expected, got kind={kind!r}")
+        model = _doc_field(doc, "params", cls.kind, lambda params: cls(**params))
+        n_features = _doc_field(doc, "n_features", cls.kind, lambda n: _integer(n, "n_features"))
+        model._read_body(doc, n_features)
+        model.n_features_in_ = n_features
+        return model
+
+
+class DecisionTreeClassifier(_BuiltIn):
     """Binary classification tree grown by greedy weighted-Gini splits.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
@@ -177,6 +218,8 @@ class DecisionTreeClassifier:
     ranks an ensemble shares looks each row's leaf up in a table instead.
     """
 
+    kind = "tree"
+
     def __init__(self, max_depth=10, min_samples_split=2, min_impurity_decrease=0.0):
         if max_depth is not None:
             max_depth = _integer(max_depth, "max_depth", 1)
@@ -189,7 +232,6 @@ class DecisionTreeClassifier:
         self.min_impurity_decrease = min_impurity_decrease
         self.feature_ = self.children_ = self.value_ = self.count_ = None
         self._descent = self._table = None
-        self.n_features_in_ = None
 
     def _best_splits(self, columns, by_value, w, wy, sizes, w_total, w_pos, exact):
         """Best (feature, threshold) of each open node, feature -1 for none.
@@ -222,6 +264,11 @@ class DecisionTreeClassifier:
             right_w = total - left_w
             right_wp = w_pos[node] - left_wp
             valid = (left_w > 0) & (right_w > 0)
+            if not exact:
+                # Summed apart, `total - left_w` can stay above 0 when every row
+                # right of the cut weighs 0; the cut would leave a weightless child.
+                weighted = np.where(w[rows] > 0, np.arange(rows.size), -1)
+                valid &= cuts < np.maximum.reduceat(weighted, starts)[node]
             with np.errstate(invalid="ignore", divide="ignore"):
                 pl = left_wp / left_w
                 pr = right_wp / right_w
@@ -256,13 +303,9 @@ class DecisionTreeClassifier:
             )
         return best_feature, best_threshold
 
-    def fit(self, X, y, sample_weight=None):
-        return self._fit(*_check_training_inputs(X, y, sample_weight))
-
     def _fit(self, X, y, w):
         """Fit on checked inputs: a float64 matrix, 0/1 int64 labels and weights."""
         n_rows = X.shape[0]
-        self.n_features_in_ = X.shape[1]
         exact = _sums_are_exact(w)
         wy = w * y
         columns = X.T.copy()
@@ -281,7 +324,9 @@ class DecisionTreeClassifier:
         while True:
             w_total, w_pos = _node_totals(w, y, by_row, sizes, exact)
             with np.errstate(invalid="ignore", divide="ignore"):
-                leaf_probability = w_pos / w_total
+                # Summed apart from the total, the positive weight can exceed it
+                # by an ulp when the weights span many orders of magnitude.
+                leaf_probability = np.minimum(w_pos / w_total, 1.0)
             grow = (sizes >= self.min_samples_split) & (w_pos != 0.0) & (w_pos != w_total)
             if self.max_depth is not None and depth >= self.max_depth:
                 grow[:] = False
@@ -319,6 +364,7 @@ class DecisionTreeClassifier:
             depth += 1
         self.feature_, self.children_, self.value_, self.count_ = feature, children, value, count
         self._build_descent()
+        self.n_features_in_ = X.shape[1]
         return self
 
     def _build_descent(self):
@@ -343,11 +389,6 @@ class DecisionTreeClassifier:
                 depth[first] = depth[first + 1] = depth[node] + 1
         self._descent = feature, threshold, child, value, depth[-1]
         self._table = None
-
-    def predict_proba(self, X):
-        X, single = _check_predict_input(X, self.n_features_in_, self.feature_ is not None)
-        scores = self._score_rows(X)
-        return float(scores[0]) if single else scores
 
     def _score_rows(self, X, ranks=None):
         """Scores of a checked matrix; `ranks`, if given, is a `_ColumnRanks` of X."""
@@ -418,9 +459,7 @@ class DecisionTreeClassifier:
         used, cuts, strides, _, leaf = self._table
         return None if leaf is None else (used, cuts, strides, leaf)
 
-    def to_json_doc(self):
-        if self.feature_ is None:
-            raise ValueError("cannot serialize an unfitted tree")
+    def _doc_body(self):
         # Children follow their parent in breadth-first order, so walking the
         # nodes backwards finds both child documents already built.
         docs = [None] * len(self.feature_)
@@ -435,37 +474,25 @@ class DecisionTreeClassifier:
                     "left": docs[self.children_[node]],
                     "right": docs[self.children_[node] + 1],
                 }
-        return {
-            "kind": "tree",
-            "params": {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_impurity_decrease": self.min_impurity_decrease,
-            },
-            "n_features": self.n_features_in_,
-            "root": docs[0],
-        }
+        return {"root": docs[0]}
 
-    @classmethod
-    def from_json_doc(cls, doc):
-        if _doc_field(doc, "kind", "tree") != "tree":
-            raise ValueError(f"expected a tree document, got kind={doc.get('kind')!r}")
-        model = _doc_field(doc, "params", "tree", lambda params: cls(**params))
-        n_features = _doc_field(doc, "n_features", "tree", lambda n: _integer(n, "n_features"))
-        model.n_features_in_ = n_features
+    def _read_body(self, doc, n_features):
         feature, children, value, count = nodes = [], [], [], []
         # The node documents in breadth-first order: node i is queue[i], and
         # a split node appends its children as it is read.
-        queue = [_doc_field(doc, "root", "tree")]
+        queue = [_doc_field(doc, "root", self.kind)]
         try:
             for node_doc in queue:
                 if not isinstance(node_doc, dict):
                     raise ValueError(f"node {node_doc!r} is not an object")
                 if _SPLIT_KEYS.isdisjoint(node_doc):
+                    probability = float(node_doc["probability"])
+                    if not 0.0 <= probability <= 1.0:
+                        raise ValueError(f"leaf probability {probability} outside [0, 1]")
                     feature.append(-1)
                     children.append(-1)
-                    value.append(float(node_doc["probability"]))
-                    count.append(_integer(node_doc["count"], "count"))
+                    value.append(probability)
+                    count.append(_integer(node_doc["count"], "count", 0))
                     continue
                 f = _integer(node_doc["feature"], "feature")
                 if not 0 <= f < n_features:
@@ -480,9 +507,8 @@ class DecisionTreeClassifier:
             raise ValueError(f"malformed tree document: a node has no {err} field") from err
         except (TypeError, ValueError) as err:
             raise ValueError(f"malformed tree document: {err}") from err
-        model.feature_, model.children_, model.value_, model.count_ = nodes
-        model._build_descent()
-        return model
+        self.feature_, self.children_, self.value_, self.count_ = nodes
+        self._build_descent()
 
 
 def _descend(X, feature, threshold, child, value, depth):
@@ -507,7 +533,15 @@ def _descend(X, feature, threshold, child, value, depth):
     return out
 
 
-class AdaBoostClassifier:
+def _stage_weight(value):
+    """A document's stage weight: finite and nonnegative, as a fit writes it."""
+    weight = float(value)
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"stage weight must be finite and nonnegative, got {weight}")
+    return weight
+
+
+class AdaBoostClassifier(_BuiltIn):
     """Discrete two-class AdaBoost over depth-limited trees.
 
     Each round fits a weak tree on the current sample weights, scores its
@@ -519,6 +553,8 @@ class AdaBoostClassifier:
     1 / (1 + exp(-2 m)).
     """
 
+    kind = "adaboost"
+
     def __init__(self, n_estimators=10, weak_learner_depth=1, learning_rate=1.0):
         n_estimators = _integer(n_estimators, "n_estimators", 1)
         weak_learner_depth = _integer(weak_learner_depth, "weak_learner_depth", 1)
@@ -528,13 +564,9 @@ class AdaBoostClassifier:
         self.n_estimators = n_estimators
         self.weak_learner_depth = weak_learner_depth
         self.learning_rate = learning_rate
-        self.stages_ = None
-        self.errors_ = None
-        self.sample_weight_ = None
-        self.n_features_in_ = None
+        self.stages_ = self.errors_ = self.sample_weight_ = None
 
-    def fit(self, X, y, sample_weight=None):
-        X, y, w = _check_training_inputs(X, y, sample_weight)
+    def _fit(self, X, y, w):
         if not (y == 1).any() or not (y == 0).any():
             raise ValueError("boosting requires both classes in the training data")
         w = w / w.sum()
@@ -577,14 +609,9 @@ class AdaBoostClassifier:
 
     def decision_margin(self, X):
         """Stage-weight-normalized vote in [-1, 1]; 0 for an empty vote."""
-        X, single = _check_predict_input(X, self.n_features_in_, self.stages_ is not None)
+        X, single = _check_predict_input(X, self.n_features_in_, self.n_features_in_ is not None)
         margin = self._margin_rows(X)
         return float(margin[0]) if single else margin
-
-    def predict_proba(self, X):
-        X, single = _check_predict_input(X, self.n_features_in_, self.stages_ is not None)
-        scores = self._score_rows(X)
-        return float(scores[0]) if single else scores
 
     def _margin_rows(self, X, ranks=None):
         if ranks is None and len(self.stages_) > 1:
@@ -609,48 +636,19 @@ class AdaBoostClassifier:
         table = np.array([1.0 / (1.0 + math.exp(-2.0 * m)) for m in distinct.tolist()])
         return table[np.searchsorted(distinct, margin)]
 
-    def to_json_doc(self):
-        if self.stages_ is None:
-            raise ValueError("cannot serialize an unfitted booster")
-        return {
-            "kind": "adaboost",
-            "params": {
-                "n_estimators": self.n_estimators,
-                "weak_learner_depth": self.weak_learner_depth,
-                "learning_rate": self.learning_rate,
-            },
-            "n_features": self.n_features_in_,
-            "stages": [
-                {"weight": weight, "tree": weak.to_json_doc()}
-                for weight, weak in self.stages_
-            ],
-        }
+    def _doc_body(self):
+        return {"stages": [{"weight": weight, "tree": weak.to_json_doc()}
+                           for weight, weak in self.stages_]}
 
-    @classmethod
-    def from_json_doc(cls, doc):
-        if _doc_field(doc, "kind", "adaboost") != "adaboost":
-            raise ValueError(
-                f"expected an adaboost document, got kind={doc.get('kind')!r}"
-            )
-        model = _doc_field(doc, "params", "adaboost", lambda params: cls(**params))
-        model.n_features_in_ = _doc_field(doc, "n_features", "adaboost",
-                                          lambda n: _integer(n, "n_features"))
-        model.stages_ = [
-            (
-                _doc_field(stage, "weight", "adaboost stage", float),
-                DecisionTreeClassifier.from_json_doc(_doc_field(stage, "tree", "adaboost stage")),
-            )
-            for stage in _doc_field(doc, "stages", "adaboost", list)
+    def _read_body(self, doc, n_features):
+        self.stages_ = [
+            (_doc_field(stage, "weight", self.kind, _stage_weight),
+             DecisionTreeClassifier.from_json_doc(_doc_field(stage, "tree", self.kind)))
+            for stage in _doc_field(doc, "stages", self.kind, list)
         ]
-        model.errors_ = None
-        model.sample_weight_ = None
-        return model
 
 
-LEARNER_REGISTRY = {
-    "tree": DecisionTreeClassifier,
-    "adaboost": AdaBoostClassifier,
-}
+LEARNER_REGISTRY = {cls.kind: cls for cls in (DecisionTreeClassifier, AdaBoostClassifier)}
 
 
 class _FrozenParams(dict):
@@ -691,8 +689,7 @@ class LearnerSpec:
                 raise ValueError(f"base learner {self.name!r} has no parameter {key!r}; "
                                  f"valid: {' | '.join(accepted)}")
         learner = LEARNER_REGISTRY[self.name](**self.params)
-        filled = {key: getattr(learner, key) for key in accepted}
-        object.__setattr__(self, "params", _FrozenParams(filled))
+        object.__setattr__(self, "params", _FrozenParams(_params(learner)))
 
     def create(self):
         return LEARNER_REGISTRY[self.name](**self.params)

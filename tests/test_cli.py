@@ -397,6 +397,16 @@ def test_bench_config_checks_the_board_when_made(settings, message):
         BenchConfig(**settings)
 
 
+def test_an_infinite_cov_is_refused_where_the_board_is_made(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^cov_scale must be finite, got inf$"):
+        BenchConfig(cov=float("inf"))
+    code, error = run_cli_error(capsys, ["generate", "--cov", "inf",
+                                         "--output", str(tmp_path / "board.csv")])
+    assert code == 1
+    assert error == {"error": "cov_scale must be finite, got inf"}
+    assert not (tmp_path / "board.csv").exists()
+
+
 def test_bench_with_failed_repeats_writes_its_results_and_exits_1(tmp_path, capsys,
                                                                  monkeypatch):
     # cascade's default keep rate needs two members, so each repeat fails.

@@ -299,3 +299,8 @@ def test_save_csv_header_and_format(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.1
     assert cells[2] == "1"
+
+
+def test_spec_refuses_an_infinite_cov_scale():
+    with pytest.raises(ValueError, match=r"^cov_scale must be finite, got inf$"):
+        CheckerboardSpec(cov_scale=math.inf)

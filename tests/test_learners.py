@@ -1,5 +1,6 @@
 """Base learners: the weighted decision tree, AdaBoost, and the registry."""
 import copy
+import inspect
 import json
 import math
 import os
@@ -592,3 +593,111 @@ def test_learner_doc_dispatch_errors():
         learner_from_doc({"params": {}})
     with pytest.raises(ValueError, match="tree document"):
         DecisionTreeClassifier.from_json_doc({"kind": "adaboost"})
+
+
+BAD_STAGE_WEIGHTS = {"infinite": math.inf, "nan": math.nan, "negative": -1.0}
+
+
+@pytest.mark.parametrize("weight", BAD_STAGE_WEIGHTS.values(), ids=BAD_STAGE_WEIGHTS.keys())
+def test_a_booster_document_refuses_a_stage_weight_no_fit_writes(weight):
+    booster = AdaBoostClassifier(n_estimators=2).fit(XS, np.array([0, 0, 1, 1]))
+    doc = json.loads(json.dumps(booster.to_json_doc()))
+    doc["stages"][0]["weight"] = weight
+    # As a model file holds it: json writes Infinity and NaN.
+    text = json.dumps(doc)
+    for given in (doc, json.loads(text)):
+        with pytest.raises(ValueError, match=r"^malformed adaboost document: invalid 'weight'"):
+            learner_from_doc(given)
+
+
+def test_a_booster_document_accepts_a_zero_stage_weight():
+    # A fit at an extreme learning rate may round a stage weight to 0.0.
+    booster = AdaBoostClassifier(n_estimators=2).fit(XS, np.array([0, 0, 1, 1]))
+    doc = booster.to_json_doc()
+    doc["stages"][0]["weight"] = 0.0
+    assert learner_from_doc(doc).to_json_doc() == doc
+
+
+BAD_LEAVES = {
+    "probability above 1": ({"probability": 1.5}, r"leaf probability 1\.5 outside \[0, 1\]"),
+    "negative probability": ({"probability": -0.5}, r"leaf probability -0\.5 outside"),
+    "nan probability": ({"probability": math.nan}, r"leaf probability nan outside"),
+    "negative count": ({"count": -3}, r"count must be >= 0, got -3"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_LEAVES.values(), ids=BAD_LEAVES.keys())
+def test_a_tree_document_refuses_a_leaf_no_fit_writes(edit, message):
+    tree = DecisionTreeClassifier(max_depth=2).fit(XS, np.array([0, 1, 1, 0]))
+    doc = tree.to_json_doc()
+    assert DecisionTreeClassifier.from_json_doc(doc).to_json_doc() == doc
+    doc["root"]["right"]["right"].update(edit)
+    with pytest.raises(ValueError, match=r"^malformed tree document: " + message):
+        DecisionTreeClassifier.from_json_doc(doc)
+    with pytest.raises(ValueError, match=r"^malformed tree document: " + message):
+        learner_from_doc({"kind": "adaboost", "params": {}, "n_features": 1,
+                          "stages": [{"weight": 1.0, "tree": doc}]})
+
+
+def test_a_fitted_tree_document_round_trips_with_every_leaf_in_range():
+    data = generate_checkerboard(CheckerboardSpec(n_minority=50, n_majority=500, seed=7))
+    tree = DecisionTreeClassifier(max_depth=6).fit(data.features, data.labels)
+    doc = tree.to_json_doc()
+    restored = DecisionTreeClassifier.from_json_doc(json.loads(json.dumps(doc)))
+    assert restored.to_json_doc() == doc
+    for name in ("feature_", "children_", "value_", "count_"):
+        assert getattr(restored, name) == getattr(tree, name)
+    leaves = [v for f, v in zip(tree.feature_, tree.value_) if f < 0]
+    assert all(0.0 <= v <= 1.0 for v in leaves)
+
+
+def test_a_leaf_probability_stays_at_most_one_when_weights_span_many_magnitudes():
+    # Summed apart, the positive weight of this lone leaf exceeded its total
+    # weight by an ulp, and the leaf held 1.0000000000000002.
+    y = np.array([0, 1, 1, 1, 1, 1, 1, 1, 1, 1])
+    w = np.array([3.469446951953614e-18, 4294967296.0, 1792.0, 12582912.0, 2147483648.0,
+                  3.552713678800501e-14, 1.0658141036401503e-14, 5.245208740234375e-07,
+                  8.0, 939524096.0])
+    tree = DecisionTreeClassifier().fit(np.zeros((10, 1)), y, sample_weight=w)
+    assert tree.feature_ == [-1]
+    assert tree.value_ == [1.0]
+    assert DecisionTreeClassifier.from_json_doc(tree.to_json_doc()).value_ == [1.0]
+
+
+def test_a_split_never_leaves_a_child_without_weight():
+    # The pairwise total less the running sum left of the cut stayed above 0,
+    # though the one row right of it weighs 0, and that leaf held NaN.
+    X = np.array([[0.0]] * 8 + [[1.0]])
+    y = np.array([0, 1, 1, 1, 1, 1, 0, 1, 0])
+    w = np.array([1.4901161193847656e-08, 0.0003662109375, 1280.0, 103079215104.0,
+                  1.9073486328125e-05, 42949672960.0, 3.0517578125e-05,
+                  3.4924596548080444e-10, 0.0])
+    tree = DecisionTreeClassifier(max_depth=1).fit(X, y, sample_weight=w)
+    assert tree.feature_ == [-1]
+    assert DecisionTreeClassifier.from_json_doc(tree.to_json_doc()).value_ == tree.value_
+
+
+NON_DEFAULT_PARAMS = {
+    "tree": {"min_impurity_decrease": 0.01, "max_depth": 3, "min_samples_split": 4},
+    "adaboost": {"learning_rate": 0.5, "n_estimators": 3, "weak_learner_depth": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNER_REGISTRY))
+def test_a_builtin_document_writes_the_params_its_spec_holds(kind):
+    cls = LEARNER_REGISTRY[kind]
+    assert cls.kind == kind
+    spec = LearnerSpec(kind, NON_DEFAULT_PARAMS[kind])
+    learner = spec.create().fit(XS, np.array([0, 1, 1, 0]))
+    doc = learner.to_json_doc()
+    assert list(doc)[:3] == ["kind", "params", "n_features"]
+    assert doc["kind"] == kind
+    assert doc["params"] == dict(spec.params)
+    assert list(doc["params"]) == list(inspect.signature(cls).parameters)
+    assert list(spec.params) == list(inspect.signature(cls).parameters)
+    (other,) = set(LEARNER_REGISTRY) - {kind}
+    with pytest.raises(ValueError, match=f"^{other} document expected, got kind='{kind}'$"):
+        LEARNER_REGISTRY[other].from_json_doc(doc)
+    with pytest.raises(ValueError, match=f"^cannot serialize an unfitted {cls.__name__}$"):
+        cls().to_json_doc()
+    assert cls().n_features_in_ is None and learner.n_features_in_ == 1

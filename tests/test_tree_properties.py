@@ -153,6 +153,18 @@ def test_level_wise_fit_matches_the_per_node_reference(
     assert_same_tree(tree, ReferenceTree(**params).fit(X, y, sample_weight=w))
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=oracle_inputs(), max_depth=DEPTHS)
+def test_the_document_of_every_fitted_tree_reads_back(data, max_depth):
+    # The reader refuses a leaf outside [0, 1]; a fit writes none, whatever
+    # its weights.
+    X, y, w = data
+    tree = DecisionTreeClassifier(max_depth=max_depth).fit(X, y, sample_weight=w)
+    assert all(0.0 <= v <= 1.0 for f, v in zip(tree.feature_, tree.value_) if f < 0)
+    restored = DecisionTreeClassifier.from_json_doc(json.loads(json.dumps(tree.to_json_doc())))
+    assert_same_tree(restored, tree)
+
+
 def test_level_wise_fit_matches_the_reference_on_balanced_bags():
     # Ensemble-sized inputs: 1000 minority rows plus 1000 drawn majority rows
     # of the default board, with unit weights at depth 10 and with the

@@ -69,7 +69,8 @@ class ReferenceTree(DecisionTreeClassifier):
             cum_wp = np.cumsum(swp)[cuts]
             right_w = w_total - cum_w
             right_wp = w_pos_total - cum_wp
-            valid = (cum_w > 0) & (right_w > 0)
+            # A cut must leave a row of positive weight on each side.
+            valid = (cum_w > 0) & (right_w > 0) & (cuts < np.flatnonzero(sw > 0)[-1])
             if not valid.any():
                 continue
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -111,7 +112,7 @@ class ReferenceTree(DecisionTreeClassifier):
             found = None if stop else self._best_split(X, y, w, rows, self._gini(w_pos, w_total))
             if found is None:
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    probability = float(w_pos / w_total)
+                    probability = float(min(w_pos / w_total, 1.0))
                 for node_list, value in zip(nodes, (-1, -1, probability, int(rows.size))):
                     node_list.append(value)
                 continue
